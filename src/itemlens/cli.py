@@ -5,10 +5,10 @@ command writes its artifacts into one output directory (--out, then the
 ITEMLENS_OUT environment variable, then ./itemlens_out) along with
 effective_config.json recording the settings actually used.
 
-Exit codes: 0 success, 1 domain failure (data that parses but cannot be
-processed), 2 I/O or usage failure. Outputs are deterministic for fixed
-inputs and seed; no timestamps or absolute paths are embedded, so rerunning
-into a fresh directory reproduces the tree byte for byte.
+Exit codes: 0 success, 1 domain failure (log rows that do not parse, or data
+that cannot be processed), 2 I/O or usage failure. Outputs are deterministic
+for fixed inputs and seed; no timestamps or absolute paths are embedded, so
+rerunning into a fresh directory reproduces the tree byte for byte.
 """
 
 from __future__ import annotations
@@ -18,28 +18,18 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from . import events
+from . import events, tables
 from .irt import (
-    AbilityEstimate,
-    DegenerateMatrix,
-    FitConfig,
-    FitResult,
-    ItemParameters,
-    fit_2pl,
-    params_from_csv,
-    params_from_dict,
-    params_to_csv,
-    params_to_dict,
-    sample_curves,
+    ABILITIES, PARAMS, DegenerateMatrix, FitConfig, FitResult, ItemParameters, fit_2pl, params_to_csv, sample_curves
 )
-from .metrics import build_metrics_table, metrics_from_csv, metrics_from_dict
+from .metrics import METRICS, build_metrics_table
 from .quality import classify_quality, quality_report
 from .response import build_matrices
-from .simulate import InvalidScenario, SimulationOutput, load_scenario, recovery_report, run_scenario
+from .simulate import TRUE_ABILITIES, InvalidScenario, SimulationOutput, load_scenario, recovery_report, run_scenario
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -79,7 +69,7 @@ class RunConfig:
             "table2_compat": self.table2_compat,
             "seed": self.seed,
             "format": self.fmt,
-            "fit": self.fit.to_dict(),
+            "fit": asdict(self.fit),
         }
 
 
@@ -138,6 +128,16 @@ def _write_json(path: Path, data) -> None:
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
+def _write_tabular(out: Path, stem: str, fmt: str, to_csv, to_dict) -> str:
+    """Write one table as ``stem.csv`` or ``stem.json``; returns the file name."""
+    name = f"{stem}.{fmt}"
+    if fmt == "csv":
+        (out / name).write_text(to_csv())
+    else:
+        _write_json(out / name, to_dict())
+    return name
+
+
 def _echo_config(out: Path, cfg: RunConfig, command: str, input_path: str | None) -> None:
     payload = {
         "schema_version": 1,
@@ -151,13 +151,6 @@ def _echo_config(out: Path, cfg: RunConfig, command: str, input_path: str | None
 def _slug(name: str) -> str:
     s = re.sub(r"[^A-Za-z0-9._-]+", "_", name)
     return s or "group"
-
-
-def _abilities_csv(abilities: Sequence[AbilityEstimate]) -> str:
-    lines = ["student_id,theta,se_theta"]
-    for est in abilities:
-        lines.append(f"{est.student_id},{est.theta!r},{est.se_theta!r}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -178,19 +171,25 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK if report.ok else EXIT_DOMAIN
 
 
+def _read_log_strict(path: str) -> list[events.InteractionEvent]:
+    """Events of a log that must parse cleanly: each rejected row goes to stderr and fails the run."""
+    parsed = events.read_event_log(path)
+    for problem in parsed.problems:
+        print(f"line {problem.line}: {problem.reason}", file=sys.stderr)
+    if parsed.problems:
+        raise DomainFailure(f"{len(parsed.problems)} malformed rows in {Path(path).name}")
+    if not parsed.events:
+        raise DomainFailure("event log is empty")
+    return parsed.events
+
+
 def cmd_metrics(args: argparse.Namespace) -> int:
     cfg = load_run_config(args)
     out = _resolve_out(args)
-    parsed = events.read_event_log(args.input)
-    if not parsed.events:
-        raise DomainFailure("event log is empty")
-    summaries = events.aggregate(parsed.events)
+    summaries = events.aggregate(_read_log_strict(args.input))
     table = build_metrics_table(summaries)
     _echo_config(out, cfg, "metrics", args.input)
-    if cfg.fmt == "csv":
-        (out / "metrics.csv").write_text(table.to_csv())
-    else:
-        _write_json(out / "metrics.json", table.to_dict())
+    _write_tabular(out, "metrics", cfg.fmt, table.to_csv, table.to_dict)
     for warning in table.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     print(f"metrics: {len(table.rows)} exercises, {len(table.warnings)} warnings")
@@ -246,16 +245,18 @@ def _fit_groups(summaries, cfg: RunConfig, out: Path) -> GroupFits:
             continue
         fitted.append((matrix.group_id, result))
         all_params.extend(result.items)
-        if cfg.fmt == "csv":
-            name = f"params_{slug}.csv"
-            (out / name).write_text(params_to_csv(result.items))
-        else:
-            name = f"params_{slug}.json"
-            _write_json(out / name, params_to_dict(result.items, group_id=matrix.group_id))
-        files.append(name)
+        files.append(
+            _write_tabular(
+                out,
+                f"params_{slug}",
+                cfg.fmt,
+                lambda: params_to_csv(result.items),
+                lambda: tables.to_json(PARAMS, result.items, group_id=matrix.group_id),
+            )
+        )
         (out / f"curves_{slug}.csv").write_text(sample_curves(result.items).to_csv())
         files.append(f"curves_{slug}.csv")
-        (out / f"abilities_{slug}.csv").write_text(_abilities_csv(result.abilities))
+        (out / f"abilities_{slug}.csv").write_text(tables.write_csv(ABILITIES, result.abilities))
         files.append(f"abilities_{slug}.csv")
         diag = result.diagnostics
         _write_json(
@@ -295,10 +296,7 @@ def _fit_groups(summaries, cfg: RunConfig, out: Path) -> GroupFits:
 def cmd_fit(args: argparse.Namespace) -> int:
     cfg = load_run_config(args)
     out = _resolve_out(args)
-    parsed = events.read_event_log(args.input)
-    if not parsed.events:
-        raise DomainFailure("event log is empty")
-    summaries = events.aggregate(parsed.events)
+    summaries = events.aggregate(_read_log_strict(args.input))
     fits = _fit_groups(summaries, cfg, out)
     _echo_config(out, cfg, "fit", args.input)
     _write_json(out / "fit_summary.json", fits.summary)
@@ -310,36 +308,26 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_params_file(path: str) -> list[ItemParameters]:
+def _read_table(table: tables.Table, path: str) -> list:
+    """Rows of a .json or .csv artifact written by another subcommand."""
     p = Path(path)
     text = p.read_text()
     if p.suffix.lower() == ".json":
-        return params_from_dict(json.loads(text))
-    return params_from_csv(text)
-
-
-def _read_metrics_file(path: str):
-    p = Path(path)
-    text = p.read_text()
-    if p.suffix.lower() == ".json":
-        return metrics_from_dict(json.loads(text))
-    return metrics_from_csv(text)
+        return tables.from_json(table, json.loads(text))
+    return tables.read_csv(table, text)
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
     cfg = load_run_config(args)
     out = _resolve_out(args)
-    params = _read_params_file(args.params)
+    params = _read_table(PARAMS, args.params)
     if not params:
         raise DomainFailure("parameters file has no items")
-    metric_rows = _read_metrics_file(args.metrics) if args.metrics else []
+    metric_rows = _read_table(METRICS, args.metrics) if args.metrics else []
     verdicts = [classify_quality(p, table2_compat=cfg.table2_compat) for p in params]
     report = quality_report(verdicts, metric_rows, params, table2_compat=cfg.table2_compat)
     _echo_config(out, cfg, "classify", args.params)
-    if cfg.fmt == "csv":
-        (out / "quality_report.csv").write_text(report.to_csv())
-    else:
-        _write_json(out / "quality_report.json", report.to_dict())
+    _write_tabular(out, "quality_report", cfg.fmt, report.to_csv, report.to_dict)
     _write_json(out / "quality_summary.json", {"schema_version": 1, **report.summary})
     for warning in report.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -362,10 +350,7 @@ def _load_scenario_checked(path: str, cfg: RunConfig):
 def _write_sim_artifacts(out: Path, sim: SimulationOutput) -> list[str]:
     (out / "log.csv").write_text(events.events_to_csv(sim.log.events))
     (out / "truth_params.csv").write_text(params_to_csv(sim.scenario.items))
-    lines = ["student_id,theta"]
-    for sid, theta in sim.cohort:
-        lines.append(f"{sid},{theta!r}")
-    (out / "truth_abilities.csv").write_text("\n".join(lines) + "\n")
+    (out / "truth_abilities.csv").write_text(tables.write_csv(TRUE_ABILITIES, sim.cohort))
     (out / "matrix.csv").write_text(sim.matrix.to_csv())
     return ["log.csv", "truth_params.csv", "truth_abilities.csv", "matrix.csv"]
 
@@ -433,12 +418,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
     summaries = events.aggregate(log_events)
     table = build_metrics_table(summaries)
-    if cfg.fmt == "csv":
-        (out / "metrics.csv").write_text(table.to_csv())
-        artifacts.append("metrics.csv")
-    else:
-        _write_json(out / "metrics.json", table.to_dict())
-        artifacts.append("metrics.json")
+    artifacts.append(_write_tabular(out, "metrics", cfg.fmt, table.to_csv, table.to_dict))
     stages["metrics"] = {"status": "ok", "n_exercises": len(table.rows)}
 
     fits = _fit_groups(summaries, cfg, out)
@@ -455,12 +435,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
     verdicts = [classify_quality(p, table2_compat=cfg.table2_compat) for p in fits.all_params]
     q_report = quality_report(verdicts, table.rows, fits.all_params, table2_compat=cfg.table2_compat)
-    if cfg.fmt == "csv":
-        (out / "quality_report.csv").write_text(q_report.to_csv())
-        artifacts.append("quality_report.csv")
-    else:
-        _write_json(out / "quality_report.json", q_report.to_dict())
-        artifacts.append("quality_report.json")
+    artifacts.append(_write_tabular(out, "quality_report", cfg.fmt, q_report.to_csv, q_report.to_dict))
     _write_json(out / "quality_summary.json", {"schema_version": 1, **q_report.summary})
     artifacts.append("quality_summary.json")
     stages["classify"] = {"status": "ok", "n_poor": q_report.summary["n_poor"]}

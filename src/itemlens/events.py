@@ -12,26 +12,17 @@ collected into the returned report with their line number.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
-CSV_HEADER = ["student_id", "exercise_id", "module_id", "timestamp", "kind", "correct"]
+from .tables import read_rows, write_rows
 
-SUMMARY_CSV_HEADER = [
-    "student_id",
-    "exercise_id",
-    "module_id",
-    "n_attempts",
-    "n_correct",
-    "n_wrong",
-    "n_hints",
-]
+CSV_HEADER = ["student_id", "exercise_id", "module_id", "timestamp", "kind", "correct"]
 
 
 class UnreadableStream(ValueError):
@@ -116,17 +107,7 @@ class ValidationReport:
         return not self.violations
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "n_events": self.n_events,
-            "n_students": self.n_students,
-            "n_exercises": self.n_exercises,
-            "n_attempt_events": self.n_attempt_events,
-            "n_hint_events": self.n_hint_events,
-            "violations": list(self.violations),
-            "warnings": list(self.warnings),
-            "ok": self.ok,
-        }
+        return {"schema_version": 1, **asdict(self), "ok": self.ok}
 
 
 def parse_timestamp(raw: str) -> datetime:
@@ -178,7 +159,7 @@ def _build_event(
 
 
 def _parse_csv(text: str) -> ParsedLog:
-    reader = csv.reader(io.StringIO(text))
+    reader = read_rows(text)
     events: list[InteractionEvent] = []
     problems: list[RowProblem] = []
     try:
@@ -283,7 +264,7 @@ def read_event_log(path: str | Path, fmt: str | None = None) -> ParsedLog:
         elif suffix in (".jsonl", ".ndjson", ".json"):
             fmt = "jsonl"
         else:
-            raise ValueError(f"cannot infer log format from {path.name!r}; pass fmt explicitly")
+            raise UnreadableStream(f"cannot infer log format from {path.name!r}; use .csv or .jsonl")
     try:
         data = path.read_bytes()
     except OSError as exc:
@@ -358,15 +339,18 @@ def validate_log(events: Sequence[InteractionEvent]) -> ValidationReport:
 
 
 def events_to_csv(events: Iterable[InteractionEvent]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for ev in events:
-        correct = "" if ev.correct is None else ("true" if ev.correct else "false")
-        writer.writerow(
-            [ev.student_id, ev.exercise_id, ev.module_id, format_timestamp(ev.timestamp), ev.kind.value, correct]
-        )
-    return out.getvalue()
+    rows = (
+        [
+            ev.student_id,
+            ev.exercise_id,
+            ev.module_id,
+            format_timestamp(ev.timestamp),
+            ev.kind.value,
+            "" if ev.correct is None else ("true" if ev.correct else "false"),
+        ]
+        for ev in events
+    )
+    return write_rows(CSV_HEADER, rows)
 
 
 def events_to_jsonl(events: Iterable[InteractionEvent]) -> str:
@@ -384,26 +368,3 @@ def events_to_jsonl(events: Iterable[InteractionEvent]) -> str:
             del obj["correct"]
         lines.append(json.dumps(obj, sort_keys=True))
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def summaries_to_csv(summaries: Iterable[StudentExerciseSummary]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(SUMMARY_CSV_HEADER)
-    for s in summaries:
-        writer.writerow(
-            [s.student_id, s.exercise_id, s.module_id, s.n_attempts, s.n_correct, s.n_wrong, s.n_hints]
-        )
-    return out.getvalue()
-
-
-def summaries_from_csv(text: str) -> list[StudentExerciseSummary]:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if header != SUMMARY_CSV_HEADER:
-        raise UnreadableStream(f"unexpected summary header {header!r}")
-    return [
-        StudentExerciseSummary(row[0], row[1], row[2], int(row[3]), int(row[4]), int(row[5]), int(row[6]))
-        for row in reader
-        if row
-    ]

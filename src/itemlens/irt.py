@@ -21,15 +21,14 @@ the equivalent b would overflow.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .response import MISSING, ResponseMatrix
+from .tables import BOOL, FLOAT, TEXT, Table, optional, write_csv, write_rows
 
 
 class EmptyItemSet(ValueError):
@@ -121,21 +120,6 @@ class FitConfig:
     def quadrature(self) -> Quadrature:
         return Quadrature.normal(self.n_nodes, self.node_lo, self.node_hi)
 
-    def to_dict(self) -> dict:
-        return {
-            "n_nodes": self.n_nodes,
-            "node_lo": self.node_lo,
-            "node_hi": self.node_hi,
-            "tol": self.tol,
-            "max_iter": self.max_iter,
-            "newton_max_steps": self.newton_max_steps,
-            "a_bound": self.a_bound,
-            "b_bound": self.b_bound,
-            "min_students": self.min_students,
-            "min_items": self.min_items,
-            "seed": self.seed,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "FitConfig":
         known = {f for f in cls.__dataclass_fields__}
@@ -143,10 +127,6 @@ class FitConfig:
         if unknown:
             raise ValueError(f"unknown fit config keys: {sorted(unknown)}")
         return cls(**data)
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "FitConfig":
-        return cls.from_dict(json.loads(Path(path).read_text()))
 
 
 class FitResult(NamedTuple):
@@ -212,18 +192,9 @@ class CurveTable:
     tif: np.ndarray  # (n_thetas,)
 
     def to_csv(self) -> str:
-        header = ["theta"]
-        header += [f"p_{item}" for item in self.item_ids]
-        header += [f"info_{item}" for item in self.item_ids]
-        header.append("tif")
-        lines = [",".join(header)]
-        for k in range(len(self.thetas)):
-            cells = [repr(float(self.thetas[k]))]
-            cells += [repr(float(v)) for v in self.prob[k]]
-            cells += [repr(float(v)) for v in self.info[k]]
-            cells.append(repr(float(self.tif[k])))
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        header = ["theta", *(f"p_{i}" for i in self.item_ids), *(f"info_{i}" for i in self.item_ids), "tif"]
+        rows = np.column_stack([self.thetas, self.prob, self.info, self.tif])
+        return write_rows(header, ([repr(v) for v in row.tolist()] for row in rows))
 
 
 def sample_curves(params: Sequence[ItemParameters], theta_grid: np.ndarray | None = None) -> CurveTable:
@@ -581,89 +552,24 @@ def fit_2pl(matrix: ResponseMatrix, config: FitConfig | None = None) -> FitResul
     return FitResult(items=items, abilities=abilities, diagnostics=diagnostics)
 
 
-PARAMS_CSV_HEADER = ["item_id", "a", "b", "se_a", "se_b", "degenerate"]
+PARAMS = Table(
+    "items",
+    ItemParameters,
+    [
+        ("item_id", TEXT),
+        ("a", FLOAT),
+        ("b", FLOAT),
+        ("se_a", optional(FLOAT)),
+        ("se_b", optional(FLOAT)),
+        ("degenerate", BOOL),
+    ],
+)
+ABILITIES = Table("abilities", AbilityEstimate, [("student_id", TEXT), ("theta", FLOAT), ("se_theta", FLOAT)])
 
 
 def params_to_csv(items: Sequence[ItemParameters]) -> str:
     """Full-precision CSV so parameters survive a write/read round trip."""
-    lines = [",".join(PARAMS_CSV_HEADER)]
-    for p in items:
-        lines.append(
-            ",".join(
-                [
-                    p.item_id,
-                    repr(p.a),
-                    repr(p.b),
-                    "" if p.se_a is None else repr(p.se_a),
-                    "" if p.se_b is None else repr(p.se_b),
-                    "true" if p.degenerate else "false",
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def params_from_csv(text: str) -> list[ItemParameters]:
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    if not lines or lines[0].split(",") != PARAMS_CSV_HEADER:
-        raise ValueError("parameter CSV header mismatch")
-    items = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != len(PARAMS_CSV_HEADER):
-            raise ValueError(f"parameter row has {len(parts)} fields: {ln!r}")
-        item_id, a, b, se_a, se_b, degen = parts
-        if degen not in ("true", "false"):
-            raise ValueError(f"bad degenerate flag {degen!r}")
-        items.append(
-            ItemParameters(
-                item_id=item_id,
-                a=float(a),
-                b=float(b),
-                se_a=float(se_a) if se_a else None,
-                se_b=float(se_b) if se_b else None,
-                degenerate=degen == "true",
-            )
-        )
-    return items
-
-
-def params_to_dict(items: Sequence[ItemParameters], group_id: str | None = None) -> dict:
-    out = {
-        "schema_version": 1,
-        "items": [
-            {
-                "item_id": p.item_id,
-                "a": p.a,
-                "b": p.b,
-                "se_a": p.se_a,
-                "se_b": p.se_b,
-                "degenerate": p.degenerate,
-            }
-            for p in items
-        ],
-    }
-    if group_id is not None:
-        out["group_id"] = group_id
-    return out
-
-
-def params_from_dict(data: dict) -> list[ItemParameters]:
-    try:
-        rows = data["items"]
-        return [
-            ItemParameters(
-                item_id=str(r["item_id"]),
-                a=float(r["a"]),
-                b=float(r["b"]),
-                se_a=None if r.get("se_a") is None else float(r["se_a"]),
-                se_b=None if r.get("se_b") is None else float(r["se_b"]),
-                degenerate=bool(r.get("degenerate", False)),
-            )
-            for r in rows
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"bad parameter JSON: {exc}") from None
+    return write_csv(PARAMS, items)
 
 
 def estimate_abilities(

@@ -16,14 +16,13 @@ conversion, so it matches an integer recount of the raw events bit-for-bit.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .events import StudentExerciseSummary
+from .tables import FLOAT4, INT, TEXT, Cell, Table, optional, to_json, write_csv
 
 
 class MetricError(ValueError):
@@ -194,6 +193,22 @@ def exercise_metrics(
     )
 
 
+_BAND = Cell(lambda band: band.value, Band, Band, lambda band: band.value)
+
+METRICS = Table(
+    "exercises",
+    ExerciseMetrics,
+    [
+        ("exercise_id", TEXT),
+        ("module_id", TEXT),
+        ("n_students", INT),
+        ("dl", optional(FLOAT4)),
+        ("hr", FLOAT4),
+        ("ir", optional(FLOAT4)),
+        ("band", optional(_BAND)),
+    ],
+)
+
 POOLING_DIVERGENCE_LIMIT = 0.05
 
 METRIC_NOTES = [
@@ -213,44 +228,11 @@ class MetricsTable:
     notes: list[str]
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["exercise_id", "module_id", "n_students", "dl", "hr", "ir", "band"])
-        for row in self.rows:
-            writer.writerow(
-                [
-                    row.exercise_id,
-                    row.module_id,
-                    row.n_students,
-                    "" if row.dl is None else f"{row.dl:.4f}",
-                    f"{row.hr:.4f}",
-                    "" if row.ir is None else f"{row.ir:.4f}",
-                    "" if row.band is None else row.band.value,
-                ]
-            )
-        for note in self.notes:
-            out.write(f"# {note}\n")
-        return out.getvalue()
+        return write_csv(METRICS, self.rows, self.notes)
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "pooling": "per_student" if self.per_student else "pooled",
-            "exercises": [
-                {
-                    "exercise_id": r.exercise_id,
-                    "module_id": r.module_id,
-                    "n_students": r.n_students,
-                    "dl": r.dl,
-                    "hr": r.hr,
-                    "ir": r.ir,
-                    "band": None if r.band is None else r.band.value,
-                }
-                for r in self.rows
-            ],
-            "warnings": list(self.warnings),
-            "notes": list(self.notes),
-        }
+        pooling = "per_student" if self.per_student else "pooled"
+        return to_json(METRICS, self.rows, pooling=pooling, warnings=list(self.warnings), notes=list(self.notes))
 
 
 def build_metrics_table(
@@ -289,49 +271,3 @@ def build_metrics_table(
                 f"(pooled vs per-student differ by {abs(ir_alt - row.ir):.4f})"
             )
     return MetricsTable(rows=rows, per_student=per_student, warnings=warnings, notes=list(METRIC_NOTES))
-
-
-METRICS_CSV_HEADER = ["exercise_id", "module_id", "n_students", "dl", "hr", "ir", "band"]
-
-
-def metrics_from_csv(text: str) -> list[ExerciseMetrics]:
-    """Parse a metrics CSV back into rows; trailing # note lines are skipped."""
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    if not lines or lines[0].split(",") != METRICS_CSV_HEADER:
-        raise ValueError("metrics CSV header mismatch")
-    rows = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != len(METRICS_CSV_HEADER):
-            raise ValueError(f"metrics row has {len(parts)} fields: {ln!r}")
-        exercise_id, module_id, n_students, dl, hr, ir, band = parts
-        rows.append(
-            ExerciseMetrics(
-                exercise_id=exercise_id,
-                module_id=module_id,
-                n_students=int(n_students),
-                dl=float(dl) if dl else None,
-                hr=float(hr),
-                ir=float(ir) if ir else None,
-                band=Band(band) if band else None,
-            )
-        )
-    return rows
-
-
-def metrics_from_dict(data: dict) -> list[ExerciseMetrics]:
-    try:
-        return [
-            ExerciseMetrics(
-                exercise_id=str(r["exercise_id"]),
-                module_id=str(r["module_id"]),
-                n_students=int(r["n_students"]),
-                dl=None if r.get("dl") is None else float(r["dl"]),
-                hr=float(r["hr"]),
-                ir=None if r.get("ir") is None else float(r["ir"]),
-                band=None if r.get("band") is None else Band(r["band"]),
-            )
-            for r in data["exercises"]
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"bad metrics JSON: {exc}") from None

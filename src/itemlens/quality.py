@@ -20,6 +20,7 @@ from typing import Sequence
 
 from .irt import ItemParameters, difficult_at_average
 from .metrics import ExerciseMetrics
+from .tables import BOOL, FLOAT4, INT, TEXT, Cell, Table, optional, to_json, write_csv
 
 
 class IdMismatch(ValueError):
@@ -117,28 +118,6 @@ def classify_quality(params: ItemParameters, table2_compat: bool = False) -> Qua
     )
 
 
-REPORT_COLUMNS = [
-    "item_id",
-    "module_id",
-    "n_students",
-    "dl",
-    "hr",
-    "ir",
-    "band",
-    "a",
-    "b",
-    "se_a",
-    "se_b",
-    "degenerate",
-    "discrimination_label",
-    "negative_discrimination",
-    "difficulty_label",
-    "difficult_at_average",
-    "verdict",
-    "reasons",
-]
-
-
 @dataclass(frozen=True)
 class ReportRow:
     item_id: str
@@ -160,37 +139,31 @@ class ReportRow:
     verdict: str
     reasons: tuple[str, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "item_id": self.item_id,
-            "module_id": self.module_id,
-            "n_students": self.n_students,
-            "dl": self.dl,
-            "hr": self.hr,
-            "ir": self.ir,
-            "band": self.band,
-            "a": self.a,
-            "b": self.b,
-            "se_a": self.se_a,
-            "se_b": self.se_b,
-            "degenerate": self.degenerate,
-            "discrimination_label": self.discrimination_label,
-            "negative_discrimination": self.negative_discrimination,
-            "difficulty_label": self.difficulty_label,
-            "difficult_at_average": self.difficult_at_average,
-            "verdict": self.verdict,
-            "reasons": list(self.reasons),
-        }
 
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.4f}"
-    return str(value)
+REPORT = Table(
+    "rows",
+    ReportRow,
+    [
+        ("item_id", TEXT),
+        ("module_id", optional(TEXT)),
+        ("n_students", optional(INT)),
+        ("dl", optional(FLOAT4)),
+        ("hr", optional(FLOAT4)),
+        ("ir", optional(FLOAT4)),
+        ("band", optional(TEXT)),
+        ("a", FLOAT4),
+        ("b", FLOAT4),
+        ("se_a", optional(FLOAT4)),
+        ("se_b", optional(FLOAT4)),
+        ("degenerate", BOOL),
+        ("discrimination_label", TEXT),
+        ("negative_discrimination", BOOL),
+        ("difficulty_label", TEXT),
+        ("difficult_at_average", BOOL),
+        ("verdict", TEXT),
+        ("reasons", Cell("|".join, lambda s: tuple(s.split("|")) if s else (), tuple, list)),
+    ],
+)
 
 
 @dataclass
@@ -203,26 +176,10 @@ class QualityReport:
     notes: list[str] = field(default_factory=list)
 
     def to_csv(self) -> str:
-        lines = [",".join(REPORT_COLUMNS)]
-        for row in self.rows:
-            d = row.to_dict()
-            cells = []
-            for col in REPORT_COLUMNS:
-                v = d[col]
-                cells.append("|".join(v) if col == "reasons" else _fmt(v))
-            lines.append(",".join(cells))
-        for note in self.notes:
-            lines.append(f"# {note}")
-        return "\n".join(lines) + "\n"
+        return write_csv(REPORT, self.rows, self.notes)
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "rows": [row.to_dict() for row in self.rows],
-            "summary": self.summary,
-            "warnings": list(self.warnings),
-            "notes": list(self.notes),
-        }
+        return to_json(REPORT, self.rows, summary=self.summary, warnings=list(self.warnings), notes=list(self.notes))
 
 
 def quality_report(

@@ -9,14 +9,13 @@ failures.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .events import StudentExerciseSummary
+from .tables import write_rows
 
 MISSING = -1  # cell sentinel; observed cells are 0 or 1
 
@@ -91,28 +90,11 @@ class ResponseMatrix:
         )
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["student_id", *self.item_ids])
-        for i, sid in enumerate(self.student_ids):
-            row = ["NA" if v == MISSING else str(int(v)) for v in self.cells[i]]
-            writer.writerow([sid, *row])
-        return out.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str, group_id: str) -> "ResponseMatrix":
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader)
-        item_ids = header[1:]
-        student_ids: list[str] = []
-        rows: list[list[int]] = []
-        for row in reader:
-            if not row:
-                continue
-            student_ids.append(row[0])
-            rows.append([MISSING if v == "NA" else int(v) for v in row[1:]])
-        cells = np.array(rows, dtype=np.int8) if rows else np.zeros((0, len(item_ids)), dtype=np.int8)
-        return cls(group_id=group_id, student_ids=student_ids, item_ids=item_ids, cells=cells)
+        rows = (
+            [sid, *("NA" if v == MISSING else str(v) for v in cells)]
+            for sid, cells in zip(self.student_ids, self.cells.tolist())
+        )
+        return write_rows(["student_id", *self.item_ids], rows)
 
 
 def dichotomize(r: float, threshold: float = 0.70) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import timedelta
 from pathlib import Path
 from statistics import NormalDist
@@ -28,6 +28,7 @@ import numpy as np
 from .events import EventKind, InteractionEvent, parse_timestamp
 from .irt import ItemParameters, icc_prob
 from .response import MISSING, ResponseMatrix
+from .tables import FLOAT, TEXT, Table
 
 _TAG_COHORT = 1
 _TAG_CORRECT = 2
@@ -93,6 +94,9 @@ def _open_uniform(rng: np.random.Generator, size: int | None = None):
 
 def _pair_rng(seed: int, tag: int, sidx: int, iidx: int) -> np.random.Generator:
     return np.random.default_rng((seed, tag, sidx, iidx))
+
+
+TRUE_ABILITIES = Table("students", None, [("student_id", TEXT), ("theta", FLOAT)])
 
 
 def sample_cohort(spec: CohortSpec) -> list[tuple[str, float]]:
@@ -229,15 +233,7 @@ class RecoveryStats:
     max_err_b: float
 
     def to_dict(self) -> dict:
-        return {
-            "n_items": self.n_items,
-            "rmse_a": self.rmse_a,
-            "rmse_b": self.rmse_b,
-            "corr_a": self.corr_a,
-            "corr_b": self.corr_b,
-            "max_err_a": self.max_err_a,
-            "max_err_b": self.max_err_b,
-        }
+        return asdict(self)
 
 
 def _pearson(x: np.ndarray, y: np.ndarray) -> float:

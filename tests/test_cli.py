@@ -1,10 +1,15 @@
+import csv
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from itemlens import cli
-from itemlens.irt import ItemParameters, params_to_csv
+from itemlens.irt import PARAMS, ItemParameters, params_to_csv
+from itemlens.metrics import METRICS
+from itemlens.tables import read_csv
 
 ANCHOR_PARAMS = [
     ItemParameters("AlistRemovePROp", -0.4715, 6.72),
@@ -77,6 +82,70 @@ class TestValidate:
     def test_missing_file_exit_2(self, tmp_path):
         out = tmp_path / "v"
         assert cli.main(["validate", "--input", str(tmp_path / "nope.csv"), "--out", str(out)]) == 2
+
+    @pytest.mark.parametrize("command", ["validate", "metrics", "fit", "pipeline"])
+    def test_unknown_log_extension_exit_2(self, log_path, tmp_path, command):
+        odd = tmp_path / "log.txt"
+        odd.write_bytes(log_path.read_bytes())
+        assert cli.main([command, "--input", str(odd), "--out", str(tmp_path / "v")]) == 2
+
+
+MAYBE_LOG = (
+    "student_id,exercise_id,module_id,timestamp,kind,correct\n"
+    "s1,e1,m1,2026-01-01T00:00:00Z,attempt,true\n"
+    "s1,e2,m1,2026-01-01T00:01:00Z,attempt,maybe\n"
+)
+
+
+@pytest.mark.parametrize("command", ["metrics", "fit"])
+def test_rejected_rows_fail_the_run(tmp_path, capsys, command):
+    log = tmp_path / "log.csv"
+    log.write_text(MAYBE_LOG)
+    assert cli.main([command, "--input", str(log), "--out", str(tmp_path / "o")]) == 1
+    assert "line 3: correct must be true/false/empty, got 'maybe'" in capsys.readouterr().err
+
+
+ODD_EXERCISES = ["ex,a", 'ex "q"', "ex b", "plain"]
+
+
+def _odd_id_log(path: Path) -> None:
+    """A fittable log whose exercise, student and module ids need CSV quoting."""
+    rng = np.random.default_rng(3)
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["student_id", "exercise_id", "module_id", "timestamp", "kind", "correct"])
+        minute = 0
+        for s in range(40):
+            theta = rng.standard_normal()
+            for j, eid in enumerate(ODD_EXERCISES):
+                correct = rng.random() < 1.0 / (1.0 + math.exp(-(theta - (j - 1.5) / 2)))
+                stamp = f"2026-01-01T{minute // 60:02d}:{minute % 60:02d}:00Z"
+                writer.writerow([f's,{s} "x"', eid, "m 1", stamp, "attempt", "true" if correct else "false"])
+                minute += 1
+
+
+def test_classify_reads_back_what_metrics_and_fit_write(tmp_path, capsys):
+    log = tmp_path / "log.csv"
+    _odd_id_log(log)
+    mdir, fdir, cdir = tmp_path / "m", tmp_path / "f", tmp_path / "c"
+    assert cli.main(["metrics", "--input", str(log), "--out", str(mdir)]) == 0
+    assert cli.main(["fit", "--input", str(log), "--out", str(fdir)]) == 0
+    params_path = fdir / "params_m_1.csv"
+    code = cli.main(
+        ["classify", "--params", str(params_path), "--metrics", str(mdir / "metrics.csv"), "--out", str(cdir)]
+        + ["--format", "json"]
+    )
+    assert code == 0
+    assert "warning" not in capsys.readouterr().err
+    params = read_csv(PARAMS, params_path.read_text())
+    metrics = read_csv(METRICS, (mdir / "metrics.csv").read_text())
+    assert sorted(p.item_id for p in params) == sorted(m.exercise_id for m in metrics) == sorted(ODD_EXERCISES)
+    rows = {r["item_id"]: r for r in json.loads((cdir / "quality_report.json").read_text())["rows"]}
+    assert set(rows) == set(ODD_EXERCISES)
+    for p in params:
+        assert (rows[p.item_id]["a"], rows[p.item_id]["b"]) == (p.a, p.b)
+    for m in metrics:
+        assert (rows[m.exercise_id]["module_id"], rows[m.exercise_id]["dl"]) == (m.module_id, m.dl)
 
 
 class TestMetrics:

@@ -15,8 +15,6 @@ from itemlens.events import (
     parse_event_log,
     parse_timestamp,
     read_event_log,
-    summaries_from_csv,
-    summaries_to_csv,
     validate_log,
 )
 
@@ -265,10 +263,6 @@ class TestRoundTrips:
         again = parse_event_log(events_to_jsonl(events), fmt="jsonl")
         assert again.ok
         assert again.events == events
-
-    def test_summaries_round_trip(self):
-        summaries = aggregate(parse_event_log(SAMPLE).events)
-        assert summaries_from_csv(summaries_to_csv(summaries)) == summaries
 
     def test_read_event_log_infers_format(self, tmp_path):
         csv_path = tmp_path / "log.csv"

@@ -1,5 +1,5 @@
-import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -23,14 +23,13 @@ from itemlens.irt import (
     item_information,
     marginal_log_likelihood,
     marginal_loglik_gradient,
-    params_from_csv,
-    params_from_dict,
+    PARAMS,
     params_to_csv,
-    params_to_dict,
     sample_curves,
 )
 from itemlens.irt import test_information as total_information
 from itemlens.response import MISSING, ResponseMatrix
+from itemlens.tables import from_json, read_csv, to_json
 
 from oracles import brute_marginal_ll, grid_ascent_fit, normal_nodes_weights, sigmoid
 
@@ -408,13 +407,7 @@ class TestFitConfig:
 
     def test_dict_round_trip(self):
         c = FitConfig(n_nodes=21, tol=1e-5, seed=7)
-        assert FitConfig.from_dict(c.to_dict()) == c
-
-    def test_json_round_trip(self, tmp_path):
-        c = FitConfig(node_lo=-4.0, node_hi=4.0, max_iter=50)
-        path = tmp_path / "fit.json"
-        path.write_text(json.dumps(c.to_dict()))
-        assert FitConfig.from_json(path) == c
+        assert FitConfig.from_dict(asdict(c)) == c
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError):
@@ -507,14 +500,14 @@ class TestParamsCodecs:
 
     def test_csv_round_trip_exact(self):
         params = self._params()
-        back = params_from_csv(params_to_csv(params))
+        back = read_csv(PARAMS, params_to_csv(params))
         assert back == params
 
     def test_dict_round_trip(self):
         params = self._params()
-        data = params_to_dict(params)
+        data = to_json(PARAMS, params)
         assert data["schema_version"] == 1
-        assert params_from_dict(data) == params
+        assert from_json(PARAMS, data) == params
 
     def test_csv_header(self):
         text = params_to_csv(self._params())

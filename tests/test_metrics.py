@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from itemlens.events import StudentExerciseSummary
 from itemlens.metrics import (
+    METRICS,
     Band,
     NoActivity,
     NoAttempts,
@@ -17,10 +18,9 @@ from itemlens.metrics import (
     exercise_metrics,
     hint_ratio,
     incorrect_ratio,
-    metrics_from_csv,
-    metrics_from_dict,
     quartile_band,
 )
+from itemlens.tables import from_json, read_csv
 
 
 def _summary(sid="s1", eid="e1", attempts=0, correct=0, hints=0, module="m1"):
@@ -210,7 +210,7 @@ class TestMetricsTable:
 
     def test_csv_round_trip(self):
         table = self._table()
-        rows = metrics_from_csv(table.to_csv())
+        rows = read_csv(METRICS, table.to_csv())
         assert [r.exercise_id for r in rows] == [r.exercise_id for r in table.rows]
         by_id = {r.exercise_id: r for r in rows}
         assert by_id["hintonly"].dl is None
@@ -221,12 +221,12 @@ class TestMetricsTable:
         table = self._table()
         data = table.to_dict()
         assert data["schema_version"] == 1
-        rows = metrics_from_dict(data)
+        rows = from_json(METRICS, data)
         assert rows == table.rows
 
     def test_csv_header_checked(self):
         with pytest.raises(ValueError):
-            metrics_from_csv("a,b\n1,2\n")
+            read_csv(METRICS, "a,b\n1,2\n")
 
 
 @given(

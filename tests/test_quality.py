@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 from itemlens.irt import ItemParameters
 from itemlens.metrics import Band, ExerciseMetrics
 from itemlens.quality import (
-    REPORT_COLUMNS,
+    REPORT,
     DifficultyLabel,
     DiscriminationLabel,
     IdMismatch,
@@ -255,7 +255,7 @@ class TestQualityReport:
         verdicts, metrics, params = self._inputs()
         text = quality_report(verdicts, metrics, params).to_csv()
         lines = text.splitlines()
-        assert lines[0] == ",".join(REPORT_COLUMNS)
+        assert lines[0] == ",".join(REPORT.header)
         data_lines = [ln for ln in lines[1:] if not ln.startswith("#")]
         assert len(data_lines) == 4
         x_line = next(ln for ln in data_lines if ln.startswith("x,"))

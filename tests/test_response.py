@@ -100,13 +100,6 @@ class TestResponseMatrix:
         assert m.item_ids == ["a", "c"]
         assert m.cells.tolist() == [[1, MISSING], [1, 0]]
 
-    def test_csv_round_trip(self):
-        m = self._matrix()
-        back = ResponseMatrix.from_csv(m.to_csv(), group_id="g")
-        assert back.student_ids == m.student_ids
-        assert back.item_ids == m.item_ids
-        assert np.array_equal(back.cells, m.cells)
-
     def test_csv_missing_rendered_na(self):
         assert "NA" in self._matrix().to_csv()
 
