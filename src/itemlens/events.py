@@ -3,8 +3,10 @@
 Logs arrive either as CSV with the exact header
 ``student_id,exercise_id,module_id,timestamp,kind,correct`` or as JSONL with
 one object per line carrying the same field names. ``kind`` is ``attempt`` or
-``hint`` (lowercase), ``correct`` is ``true``/``false`` for attempts and empty
-(CSV) or absent/null (JSONL) for hints, and ``timestamp`` is RFC 3339.
+``hint``, ``correct`` is ``true``/``false`` for attempts and empty (CSV) or
+absent/null (JSONL) for hints, and ``timestamp`` is RFC 3339. Both formats
+ignore whitespace around a field and the case of ``kind``; in JSONL every
+field but ``correct`` must be a string or an integer.
 
 Malformed rows never abort a parse and are never dropped silently; they are
 collected into the returned report with their line number.
@@ -23,6 +25,7 @@ from typing import Iterable, Sequence
 from .tables import read_rows, write_rows
 
 CSV_HEADER = ["student_id", "exercise_id", "module_id", "timestamp", "kind", "correct"]
+_TEXT_FIELDS = CSV_HEADER[:5]  # every field but correct
 
 
 class UnreadableStream(ValueError):
@@ -130,15 +133,12 @@ def format_timestamp(ts: datetime) -> str:
 _BOOL_VALUES = {"true": True, "false": False}
 
 
-def _build_event(
-    line: int,
-    student_id: str,
-    exercise_id: str,
-    module_id: str,
-    timestamp: str,
-    kind: str,
-    correct: bool | None,
-) -> InteractionEvent | RowProblem:
+def _build_event(line: int, fields: Sequence[str], correct: bool | None) -> InteractionEvent | RowProblem:
+    """One event from a row's fields other than ``correct``, in header order.
+
+    Both formats parse through here, so they share its whitespace and case rules.
+    """
+    student_id, exercise_id, module_id, timestamp, kind = (f.strip() for f in fields)
     if not student_id:
         return RowProblem(line, "empty student_id")
     if not exercise_id:
@@ -147,6 +147,7 @@ def _build_event(
         ts = parse_timestamp(timestamp)
     except ValueError:
         return RowProblem(line, f"unparseable timestamp {timestamp!r}")
+    kind = kind.lower()
     if kind == EventKind.ATTEMPT.value:
         if correct is None:
             return RowProblem(line, "attempt row lacks a correct value")
@@ -176,8 +177,8 @@ def _parse_csv(text: str) -> ParsedLog:
         if len(row) != len(CSV_HEADER):
             problems.append(RowProblem(line, f"expected {len(CSV_HEADER)} fields, got {len(row)}"))
             continue
-        student_id, exercise_id, module_id, timestamp, kind, correct_raw = (c.strip() for c in row)
-        correct_raw = correct_raw.lower()
+        *fields, correct_raw = row
+        correct_raw = correct_raw.strip().lower()
         if correct_raw == "":
             correct = None
         elif correct_raw in _BOOL_VALUES:
@@ -185,7 +186,7 @@ def _parse_csv(text: str) -> ParsedLog:
         else:
             problems.append(RowProblem(line, f"correct must be true/false/empty, got {correct_raw!r}"))
             continue
-        out = _build_event(line, student_id, exercise_id, module_id, timestamp, kind.lower(), correct)
+        out = _build_event(line, fields, correct)
         if isinstance(out, RowProblem):
             problems.append(out)
         else:
@@ -207,23 +208,21 @@ def _parse_jsonl(text: str) -> ParsedLog:
         if not isinstance(obj, dict):
             problems.append(RowProblem(line, "line is not a JSON object"))
             continue
-        missing = [k for k in ("student_id", "exercise_id", "module_id", "timestamp", "kind") if k not in obj]
+        missing = [k for k in _TEXT_FIELDS if k not in obj]
         if missing:
             problems.append(RowProblem(line, f"missing fields: {', '.join(missing)}"))
+            continue
+        # a field's text is a string or an integer; null, booleans, floats,
+        # objects and arrays have no single text form
+        bad = [k for k in _TEXT_FIELDS if isinstance(obj[k], bool) or not isinstance(obj[k], (str, int))]
+        if bad:
+            problems.append(RowProblem(line, f"{bad[0]} must be a string or an integer, got {json.dumps(obj[bad[0]])}"))
             continue
         correct = obj.get("correct")
         if correct is not None and not isinstance(correct, bool):
             problems.append(RowProblem(line, f"correct must be boolean or null, got {correct!r}"))
             continue
-        out = _build_event(
-            line,
-            str(obj["student_id"]),
-            str(obj["exercise_id"]),
-            str(obj["module_id"]),
-            str(obj["timestamp"]),
-            str(obj["kind"]).lower(),
-            correct,
-        )
+        out = _build_event(line, [str(obj[k]) for k in _TEXT_FIELDS], correct)
         if isinstance(out, RowProblem):
             problems.append(out)
         else:

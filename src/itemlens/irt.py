@@ -393,18 +393,17 @@ def _maximize_item(
 
 def _item_observed_information(
     cells: np.ndarray,
+    post: np.ndarray,
     alpha: np.ndarray,
     beta: np.ndarray,
-    quad: Quadrature,
+    nodes: np.ndarray,
 ) -> list[np.ndarray | None]:
     """Observed information (negative marginal Hessian) per item, in (a, b).
 
+    ``post`` holds the students' posterior node weights at ``(alpha, beta)``.
     Returns one 2x2 block per column of ``cells``; None where the block is
     not positive definite (parameters effectively unidentified).
     """
-    nodes = quad.nodes
-    lam = _response_loglik_by_node(cells, alpha, beta, nodes)
-    _, post = _posteriors(lam, quad.weights)
     p = _sigmoid(_node_logits(alpha, beta, nodes))  # (K, I)
     blocks: list[np.ndarray | None] = []
     for j in range(cells.shape[1]):
@@ -500,7 +499,8 @@ def fit_2pl(matrix: ResponseMatrix, config: FitConfig | None = None) -> FitResul
             converged = True
             break
 
-    info_blocks = _item_observed_information(cells, alpha, beta, quad)
+    # the loop leaves post computed at the final (alpha, beta)
+    info_blocks = _item_observed_information(cells, post, alpha, beta, nodes)
     fitted: dict[str, ItemParameters] = {}
     for j, item_id in enumerate(work.item_ids):
         a = float(beta[j])

@@ -10,12 +10,17 @@ Given per-(student, exercise) summaries, this module computes:
 and assigns each exercise a difficulty band: Q1 [0, 0.12), Q2 [0.12, 0.21),
 Q3 [0.21, 0.34], Q4 (0.34, 1]. Ties at 0.12 and 0.21 resolve upward.
 
-dl is evaluated in exact rational arithmetic before the final float
-conversion, so it matches an integer recount of the raw events bit-for-bit.
+dl and the per-student readings of hr and ir are exact: each distinct
+(numerator, denominator) pair is added once in rational arithmetic, weighted by
+how many students share it, and converted to float once, so dl matches an
+integer recount of the raw events bit-for-bit. The per-student ir is dl itself.
+The divergence warnings compare each pooled reading with the per-student
+reading from the same tally.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -82,22 +87,32 @@ def correct_ratio(summary: StudentExerciseSummary) -> float:
     return summary.n_correct / summary.n_attempts
 
 
+def _exact_mean(ratios: Counter[tuple[int, int]]) -> float:
+    """Mean of the tallied ratios: exact sum, one float conversion."""
+    total = sum((count * Fraction(num, den) for (num, den), count in ratios.items()), Fraction(0))
+    return float(total / sum(ratios.values()))
+
+
+def _pooled(ratios: Counter[tuple[int, int]]) -> float:
+    num = sum(count * n for (n, _), count in ratios.items())
+    den = sum(count * d for (_, d), count in ratios.items())
+    return num / den
+
+
+def _wrong_ratios(summaries: Iterable[StudentExerciseSummary]) -> Counter[tuple[int, int]]:
+    return Counter((s.n_wrong, s.n_attempts) for s in summaries if s.n_attempts)
+
+
 def difficulty_level(summaries: Iterable[StudentExerciseSummary]) -> float:
     """Mean incorrectness across attempting students, in [0, 1].
 
     Students with zero attempts are excluded (their ratio is undefined).
     Computed exactly: 1 - r equals n_wrong / n_attempts per student.
     """
-    total = Fraction(0)
-    n = 0
-    for s in summaries:
-        if s.n_attempts == 0:
-            continue
-        total += Fraction(s.n_wrong, s.n_attempts)
-        n += 1
-    if n == 0:
+    ratios = _wrong_ratios(summaries)
+    if not ratios:
         raise NoParticipants("no students with attempts")
-    return float(total / n)
+    return _exact_mean(ratios)
 
 
 def hint_ratio(summaries: Iterable[StudentExerciseSummary], per_student: bool = False) -> float:
@@ -107,51 +122,22 @@ def hint_ratio(summaries: Iterable[StudentExerciseSummary], per_student: bool = 
     division. ``per_student=True`` instead averages each student's own ratio,
     skipping students with no activity on the exercise.
     """
-    if per_student:
-        total = Fraction(0)
-        n = 0
-        for s in summaries:
-            denom = s.n_hints + s.n_attempts
-            if denom == 0:
-                continue
-            total += Fraction(s.n_hints, denom)
-            n += 1
-        if n == 0:
-            raise NoActivity("no hints or attempts recorded")
-        return float(total / n)
-    hints = attempts = 0
-    for s in summaries:
-        hints += s.n_hints
-        attempts += s.n_attempts
-    if hints + attempts == 0:
+    ratios = Counter((s.n_hints, s.n_hints + s.n_attempts) for s in summaries if s.n_hints + s.n_attempts)
+    if not ratios:
         raise NoActivity("no hints or attempts recorded")
-    return hints / (hints + attempts)
+    return _exact_mean(ratios) if per_student else _pooled(ratios)
 
 
 def incorrect_ratio(summaries: Iterable[StudentExerciseSummary], per_student: bool = False) -> float:
     """Wrong answers over total attempts for one exercise.
 
     Pooled by default; ``per_student=True`` averages per-student ratios over
-    students with at least one attempt.
+    students with at least one attempt, which is exactly ``difficulty_level``.
     """
-    if per_student:
-        total = Fraction(0)
-        n = 0
-        for s in summaries:
-            if s.n_attempts == 0:
-                continue
-            total += Fraction(s.n_wrong, s.n_attempts)
-            n += 1
-        if n == 0:
-            raise NoAttempts("no attempts recorded")
-        return float(total / n)
-    wrong = attempts = 0
-    for s in summaries:
-        wrong += s.n_wrong
-        attempts += s.n_attempts
-    if attempts == 0:
+    ratios = _wrong_ratios(summaries)
+    if not ratios:
         raise NoAttempts("no attempts recorded")
-    return wrong / attempts
+    return _exact_mean(ratios) if per_student else _pooled(ratios)
 
 
 def quartile_band(dl: float) -> Band:
@@ -167,29 +153,18 @@ def quartile_band(dl: float) -> Band:
     return Band.Q1
 
 
-def exercise_metrics(
-    exercise_id: str,
-    summaries: Sequence[StudentExerciseSummary],
-    per_student: bool = False,
-) -> ExerciseMetrics:
+def exercise_metrics(exercise_id: str, summaries: Sequence[StudentExerciseSummary]) -> ExerciseMetrics:
     """Compute the full metric row for one exercise's summaries."""
-    module_id = min(s.module_id for s in summaries)
-    attempting = [s for s in summaries if s.n_attempts > 0]
-    hr = hint_ratio(summaries, per_student=per_student)
-    if attempting:
-        dl = difficulty_level(attempting)
-        ir = incorrect_ratio(summaries, per_student=per_student)
-        band = quartile_band(dl)
-    else:
-        dl = ir = band = None
+    wrong = _wrong_ratios(summaries)
+    dl = _exact_mean(wrong) if wrong else None
     return ExerciseMetrics(
         exercise_id=exercise_id,
-        module_id=module_id,
-        n_students=len(attempting),
+        module_id=min(s.module_id for s in summaries),
+        n_students=sum(wrong.values()),
         dl=dl,
-        hr=hr,
-        ir=ir,
-        band=band,
+        hr=hint_ratio(summaries),
+        ir=_pooled(wrong) if wrong else None,
+        band=None if dl is None else quartile_band(dl),
     )
 
 
@@ -223,7 +198,6 @@ class MetricsTable:
     """All exercises' metric rows plus computation notes and warnings."""
 
     rows: list[ExerciseMetrics]
-    per_student: bool
     warnings: list[str]
     notes: list[str]
 
@@ -231,14 +205,10 @@ class MetricsTable:
         return write_csv(METRICS, self.rows, self.notes)
 
     def to_dict(self) -> dict:
-        pooling = "per_student" if self.per_student else "pooled"
-        return to_json(METRICS, self.rows, pooling=pooling, warnings=list(self.warnings), notes=list(self.notes))
+        return to_json(METRICS, self.rows, pooling="pooled", warnings=list(self.warnings), notes=list(self.notes))
 
 
-def build_metrics_table(
-    summaries: Iterable[StudentExerciseSummary],
-    per_student: bool = False,
-) -> MetricsTable:
+def build_metrics_table(summaries: Iterable[StudentExerciseSummary]) -> MetricsTable:
     """Group summaries by exercise and compute every metric row.
 
     Exercises where the pooled and per-student readings of hr or ir diverge
@@ -253,21 +223,15 @@ def build_metrics_table(
     warnings: list[str] = []
     for exercise_id in sorted(by_exercise):
         group = by_exercise[exercise_id]
-        row = exercise_metrics(exercise_id, group, per_student=per_student)
+        row = exercise_metrics(exercise_id, group)
         rows.append(row)
         if row.n_students == 0:
             warnings.append(f"{exercise_id}: hint-only exercise, dl/ir undefined")
             continue
-        hr_alt = hint_ratio(group, per_student=not per_student)
-        ir_alt = incorrect_ratio(group, per_student=not per_student)
-        if abs(hr_alt - row.hr) > POOLING_DIVERGENCE_LIMIT:
-            warnings.append(
-                f"{exercise_id}: hr pooling choice matters "
-                f"(pooled vs per-student differ by {abs(hr_alt - row.hr):.4f})"
-            )
-        if row.ir is not None and abs(ir_alt - row.ir) > POOLING_DIVERGENCE_LIMIT:
-            warnings.append(
-                f"{exercise_id}: ir pooling choice matters "
-                f"(pooled vs per-student differ by {abs(ir_alt - row.ir):.4f})"
-            )
-    return MetricsTable(rows=rows, per_student=per_student, warnings=warnings, notes=list(METRIC_NOTES))
+        for name, pooled, per_student in (("hr", row.hr, hint_ratio(group, per_student=True)), ("ir", row.ir, row.dl)):
+            gap = abs(per_student - pooled)
+            if gap > POOLING_DIVERGENCE_LIMIT:
+                warnings.append(
+                    f"{exercise_id}: {name} pooling choice matters (pooled vs per-student differ by {gap:.4f})"
+                )
+    return MetricsTable(rows=rows, warnings=warnings, notes=list(METRIC_NOTES))

@@ -1,7 +1,10 @@
-"""perfbench/ops.py runs against the package's public names, traced and untraced.
+"""The benchmark's operations run and pass the benchmark's own output checks.
 
-The benchmark calls the library directly (params_to_csv, events_to_csv, the
-table writers, to_dict methods); this keeps those names working on tiny inputs.
+perfbench/ops.py calls the library directly (params_to_csv, events_to_csv, the
+table writers, to_dict methods); this keeps those names working on tiny inputs,
+traced and untraced. ``itemlens pipeline`` runs on tiny inputs from
+perfbench/gen.py and its output trees must pass perfbench/check.py, so an
+output the benchmark would reject fails here first.
 """
 
 import json
@@ -17,6 +20,10 @@ from itemlens import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 OPS = ROOT / "perfbench" / "ops.py"
+sys.path.insert(0, str(ROOT / "perfbench"))  # gen.py and check.py never import itemlens
+
+import check  # noqa: E402
+import gen  # noqa: E402
 
 SCENARIO = {
     "n_students": 40,
@@ -53,3 +60,31 @@ def test_ops_runs(inputs, tmp_path, kind, source, traced):
     assert (out / "quality_report.csv").exists()
     if traced:
         assert json.loads(spans.read_text())["spans"]
+
+
+@pytest.fixture(scope="module")
+def bench_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("gen")
+    rows, csv_tallies = gen.first_correct_log(1, 80, 12)
+    gen.write_csv(rows, root / "log.csv")
+    rows, jsonl_tallies = gen.practice_log(1, 60, 12)
+    gen.write_jsonl(rows, root / "log.jsonl")
+    (root / "scenario.json").write_text(json.dumps(gen.scenario(1, 60, 8)))
+    return {
+        "log_csv": (root / "log.csv", check.expected_metrics_from_tallies(csv_tallies)),
+        "log_jsonl": (root / "log.jsonl", check.expected_metrics_from_tallies(jsonl_tallies)),
+        "scenario": (root / "scenario.json", None),
+    }
+
+
+@pytest.mark.parametrize("source", ["log_csv", "log_jsonl", "scenario"])
+def test_pipeline_passes_bench_checks(bench_inputs, tmp_path, source):
+    path, expected = bench_inputs[source]
+    digests = []
+    for run in ("first", "second"):
+        out = tmp_path / run
+        assert cli.main(["pipeline", "--input", str(path), "--out", str(out)]) == 0
+        assert check.check_metrics(out, expected or check.expected_metrics_from_log(out / "log.csv")) == []
+        assert check.check_fit(out) == []
+        digests.append(check.tree_digest(out))
+    assert digests[0] == digests[1]

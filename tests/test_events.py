@@ -1,4 +1,5 @@
 import io
+import json
 from datetime import datetime, timezone
 
 import pytest
@@ -113,6 +114,31 @@ class TestParseJsonl:
         parsed = parse_event_log(text, fmt="jsonl")
         assert not parsed.events
         assert len(parsed.problems) == 4
+
+    @pytest.mark.parametrize("kind, csv_correct, json_correct", [(" Attempt ", " TRUE ", True), ("HINT ", "", None)])
+    def test_padded_row_parses_like_csv(self, kind, csv_correct, json_correct):
+        fields = [" s1 ", " ex a ", " m1 ", " 2020-09-01T10:00:00Z ", kind]
+        obj = dict(zip(HEADER.split(","), fields))
+        if json_correct is not None:
+            obj["correct"] = json_correct
+        from_csv = parse_event_log(f"{HEADER}\n{','.join(fields)},{csv_correct}\n")
+        from_jsonl = parse_event_log(json.dumps(obj), fmt="jsonl")
+        assert from_csv.ok and from_jsonl.ok
+        assert from_jsonl.events == from_csv.events
+        assert (from_csv.events[0].student_id, from_csv.events[0].exercise_id) == ("s1", "ex a")
+
+    @pytest.mark.parametrize("value", [None, {"x": 1}, True, 1.5, ["s1"], 7])
+    def test_id_must_be_string_or_integer(self, value):
+        good = {"student_id": "s1", "exercise_id": "e1", "module_id": "m1", "timestamp": "2020-09-01T10:00:00Z", "kind": "hint"}
+        text = json.dumps(good) + "\n" + json.dumps({**good, "student_id": value}) + "\n"
+        parsed = parse_event_log(text, fmt="jsonl")
+        if isinstance(value, int) and not isinstance(value, bool):
+            assert parsed.ok
+            assert parsed.events[1].student_id == str(value)
+        else:
+            assert len(parsed.events) == 1
+            assert [p.line for p in parsed.problems] == [2]
+            assert "student_id" in parsed.problems[0].reason
 
 
 class TestTimestamps:

@@ -6,7 +6,9 @@ from hypothesis import given, strategies as st
 from itemlens.events import StudentExerciseSummary
 from itemlens.metrics import (
     METRICS,
+    POOLING_DIVERGENCE_LIMIT,
     Band,
+    ExerciseMetrics,
     NoActivity,
     NoAttempts,
     NoParticipants,
@@ -233,38 +235,53 @@ class TestMetricsTable:
     st.lists(
         st.tuples(
             st.integers(min_value=0, max_value=4),  # students indexed below
+            st.integers(min_value=0, max_value=2),  # exercises indexed below
             st.integers(min_value=0, max_value=12),  # attempts
             st.integers(min_value=0, max_value=12),  # correct (clamped)
             st.integers(min_value=0, max_value=5),  # hints
         ),
         min_size=1,
-        max_size=12,
+        max_size=24,
     )
 )
 def test_metrics_match_rational_recount(raw):
     seen = set()
     summaries = []
-    for sidx, attempts, correct, hints in raw:
-        sid = f"s{sidx}"
-        if sid in seen:
+    for sidx, eidx, attempts, correct, hints in raw:
+        if (sidx, eidx) in seen:
             continue
-        seen.add(sid)
+        seen.add((sidx, eidx))
         correct = min(correct, attempts)
         if attempts == 0 and hints == 0:
             continue
-        summaries.append(_summary(sid, attempts=attempts, correct=correct, hints=hints))
-    attempting = [s for s in summaries if s.n_attempts > 0]
-    if attempting:
-        # dl: recount with exact rationals, compare bit for bit
-        dl = difficulty_level(summaries)
-        expected = sum(Fraction(s.n_wrong, s.n_attempts) for s in attempting) / len(attempting)
-        assert dl == float(expected)
-        # ir: single integer division
-        wrong = sum(s.n_wrong for s in summaries)
-        total = sum(s.n_attempts for s in summaries)
-        assert incorrect_ratio(summaries) == wrong / total
-    if summaries:
-        hints = sum(s.n_hints for s in summaries)
-        total = sum(s.n_attempts for s in summaries)
-        if hints + total > 0:
-            assert hint_ratio(summaries) == hints / (hints + total)
+        summaries.append(_summary(f"s{sidx}", f"e{eidx}", attempts=attempts, correct=correct, hints=hints))
+    rows, warnings = [], []
+    for eid in sorted({s.exercise_id for s in summaries}):
+        group = [s for s in summaries if s.exercise_id == eid]
+        attempting = [s for s in group if s.n_attempts > 0]
+        hints = sum(s.n_hints for s in group)
+        total = sum(s.n_attempts for s in group)
+        wrong = sum(s.n_wrong for s in group)
+        # pooled hr and ir: single integer divisions
+        hr = hints / (hints + total)
+        assert hint_ratio(group) == hr
+        if not attempting:
+            rows.append(ExerciseMetrics(eid, "m1", 0, None, hr, None, None))
+            warnings.append(f"{eid}: hint-only exercise, dl/ir undefined")
+            continue
+        ir = wrong / total
+        assert incorrect_ratio(group) == ir
+        # dl, per-student ir and per-student hr: one exact rational per student, compared bit for bit
+        dl = float(sum(Fraction(s.n_wrong, s.n_attempts) for s in attempting) / len(attempting))
+        assert difficulty_level(group) == dl
+        assert incorrect_ratio(group, per_student=True) == dl
+        hr_each = float(sum(Fraction(s.n_hints, s.n_hints + s.n_attempts) for s in group) / len(group))
+        assert hint_ratio(group, per_student=True) == hr_each
+        rows.append(ExerciseMetrics(eid, "m1", len(attempting), dl, hr, ir, quartile_band(dl)))
+        for name, pooled, per_student in (("hr", hr, hr_each), ("ir", ir, dl)):
+            gap = abs(per_student - pooled)
+            if gap > POOLING_DIVERGENCE_LIMIT:
+                warnings.append(f"{eid}: {name} pooling choice matters (pooled vs per-student differ by {gap:.4f})")
+    table = build_metrics_table(summaries)
+    assert table.rows == rows
+    assert table.warnings == warnings
