@@ -125,7 +125,7 @@ def _resolve_out(args: argparse.Namespace) -> Path:
 
 
 def _write_json(path: Path, data) -> None:
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _write_tabular(out: Path, stem: str, fmt: str, to_csv, to_dict) -> str:
@@ -419,7 +419,11 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     summaries = events.aggregate(log_events)
     table = build_metrics_table(summaries)
     artifacts.append(_write_tabular(out, "metrics", cfg.fmt, table.to_csv, table.to_dict))
-    stages["metrics"] = {"status": "ok", "n_exercises": len(table.rows)}
+    stages["metrics"] = {
+        "status": "ok",
+        "n_exercises": len(table.rows),
+        "module_conflicts": len(events.module_conflicts(log_events)),
+    }
 
     fits = _fit_groups(summaries, cfg, out)
     _write_json(out / "fit_summary.json", fits.summary)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import io
 import json
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
@@ -275,15 +276,15 @@ def aggregate(events: Iterable[InteractionEvent]) -> list[StudentExerciseSummary
     """Tally events into one summary per (student, exercise) pair.
 
     Order-insensitive: any permutation of the input yields identical output.
-    Summaries are returned sorted by (student_id, exercise_id); when events
-    disagree on an exercise's module the lexicographically smallest module id
-    wins, keeping the result permutation-invariant.
+    Summaries are returned sorted by (student_id, exercise_id). Each
+    exercise gets one module, the lexicographically smallest module id it
+    was logged under, so it lands in one fit group however its events
+    disagree (:func:`module_conflicts` names the exercises where they do).
     """
     counts: dict[tuple[str, str], list[int]] = {}
-    modules: dict[tuple[str, str], str] = {}
+    modules: dict[str, str] = {}
     for ev in events:
-        key = (ev.student_id, ev.exercise_id)
-        tally = counts.setdefault(key, [0, 0, 0, 0])  # attempts, correct, wrong, hints
+        tally = counts.setdefault((ev.student_id, ev.exercise_id), [0, 0, 0, 0])  # attempts, correct, wrong, hints
         if ev.kind is EventKind.ATTEMPT:
             tally[0] += 1
             if ev.correct:
@@ -292,13 +293,19 @@ def aggregate(events: Iterable[InteractionEvent]) -> list[StudentExerciseSummary
                 tally[2] += 1
         else:
             tally[3] += 1
-        prev = modules.get(key)
+        prev = modules.get(ev.exercise_id)
         if prev is None or ev.module_id < prev:
-            modules[key] = ev.module_id
+            modules[ev.exercise_id] = ev.module_id
     return [
-        StudentExerciseSummary(sid, eid, modules[(sid, eid)], *counts[(sid, eid)])
+        StudentExerciseSummary(sid, eid, modules[eid], *counts[(sid, eid)])
         for sid, eid in sorted(counts)
     ]
+
+
+def module_conflicts(events: Iterable[InteractionEvent]) -> list[str]:
+    """Exercises logged under more than one module id, sorted."""
+    logged = Counter(eid for eid, _ in {(ev.exercise_id, ev.module_id) for ev in events})
+    return sorted(eid for eid, n in logged.items() if n > 1)
 
 
 def validate_log(events: Sequence[InteractionEvent]) -> ValidationReport:

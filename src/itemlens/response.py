@@ -71,13 +71,10 @@ class ResponseMatrix:
         push their parameters to infinity; they are excluded from fits and
         flagged in reports.
         """
-        out = []
-        obs = self.observed()
-        for j, item_id in enumerate(self.item_ids):
-            col = self.cells[obs[:, j], j]
-            if col.size == 0 or np.all(col == col[0]):
-                out.append(item_id)
-        return out
+        # an all-missing column has max MISSING < min 1, a constant one max == min
+        lo = self.cells.min(axis=0, initial=1, where=self.observed())
+        hi = self.cells.max(axis=0, initial=MISSING)
+        return [item_id for item_id, flat in zip(self.item_ids, (hi <= lo).tolist()) if flat]
 
     def drop_items(self, item_ids: Iterable[str]) -> "ResponseMatrix":
         drop = set(item_ids)

@@ -224,25 +224,31 @@ def generate_event_log(
 
 @dataclass(frozen=True)
 class RecoveryStats:
+    """Recovery of true item parameters by fitted ones.
+
+    A correlation is undefined (None, and named in ``undefined``) when
+    either side is constant.
+    """
+
     n_items: int
     rmse_a: float
     rmse_b: float
-    corr_a: float
-    corr_b: float
+    corr_a: float | None
+    corr_b: float | None
     max_err_a: float
     max_err_b: float
+    undefined: list[str]
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
-def _pearson(x: np.ndarray, y: np.ndarray) -> float:
-    # nan when either side is constant: correlation undefined, not zero
+def _pearson(x: np.ndarray, y: np.ndarray) -> float | None:
     xd = x - x.mean()
     yd = y - y.mean()
     den = math.sqrt(float(xd @ xd) * float(yd @ yd))
     if den == 0.0:
-        return math.nan
+        return None
     return float(xd @ yd) / den
 
 
@@ -266,14 +272,15 @@ def recovery_report(
     fa = np.array([fit_by_id[i].a for i in ids])
     fb = np.array([fit_by_id[i].b for i in ids])
     ea, eb = fa - ta, fb - tb
+    corr = {"corr_a": _pearson(ta, fa), "corr_b": _pearson(tb, fb)}
     return RecoveryStats(
         n_items=len(ids),
         rmse_a=float(np.sqrt(np.mean(ea * ea))),
         rmse_b=float(np.sqrt(np.mean(eb * eb))),
-        corr_a=_pearson(ta, fa),
-        corr_b=_pearson(tb, fb),
         max_err_a=float(np.max(np.abs(ea))) if ids else 0.0,
         max_err_b=float(np.max(np.abs(eb))) if ids else 0.0,
+        undefined=[name for name, value in corr.items() if value is None],
+        **corr,
     )
 
 

@@ -135,3 +135,105 @@ def grid_ascent_fit(
 
     params = [(float(cand_a[g]), float(cand_b[g])) for g in choice]
     return params, marginal_ll_np(cells, params, nodes, weights)
+
+
+def _sigmoid_np(z: np.ndarray) -> np.ndarray:
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _expected_loglik(alpha: float, beta: float, nodes, r_k, n_k) -> float:
+    z = alpha + beta * nodes
+    return float((r_k * z).sum() - (n_k * np.logaddexp(0.0, z)).sum())
+
+
+def maximize_item(nodes, r_k, n_k, alpha: float, beta: float, max_steps: int) -> tuple[float, float]:
+    """Scalar damped Newton ascent of one item's expected log-likelihood.
+
+    ``r_k`` and ``n_k`` are the item's expected correct and observed counts
+    per node; (alpha, beta) is its intercept and slope. Candidate steps are
+    halved (at most 30 times) until they do not lower the objective. Sums
+    are elementwise products reduced with ``sum``, the reduction the
+    vectorized solver applies to each row: near the optimum the objective
+    moves by less than its rounding, so accepting or rejecting a step there
+    depends on the last bit.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    value = _expected_loglik(alpha, beta, nodes, r_k, n_k)
+    for _ in range(max_steps):
+        p = _sigmoid_np(alpha + beta * nodes)
+        resid = r_k - n_k * p
+        g0 = resid.sum()
+        g1 = (resid * nodes).sum()
+        if max(abs(g0), abs(g1)) < 1e-10:
+            break
+        w = n_k * p * (1.0 - p)
+        h00 = w.sum()
+        h01 = (w * nodes).sum()
+        h11 = (w * (nodes * nodes)).sum()
+        det = h00 * h11 - h01 * h01
+        if not np.isfinite(det) or det <= 0.0 or h00 <= 0.0:
+            break
+        d_alpha = (h11 * g0 - h01 * g1) / det
+        d_beta = (-h01 * g0 + h00 * g1) / det
+        step = 1.0
+        accepted = False
+        for _ in range(30):
+            cand_a = alpha + step * d_alpha
+            cand_b = beta + step * d_beta
+            cand_v = _expected_loglik(cand_a, cand_b, nodes, r_k, n_k)
+            if cand_v >= value:
+                alpha, beta, value = cand_a, cand_b, cand_v
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            break
+        if step * max(abs(d_alpha), abs(d_beta)) < 1e-12:
+            break
+    return alpha, beta
+
+
+def observed_information_loop(cells: np.ndarray, post: np.ndarray, alpha, beta, nodes) -> list:
+    """Observed information per item in (a, b), one item at a time.
+
+    ``cells`` holds 0/1 scores with -1 for missing; ``post`` the students'
+    posterior node weights at (alpha, beta). For each item, the per-student
+    scores and per-node curvatures of its observed students give the
+    (alpha, beta) Hessian of the marginal log-likelihood, which the Jacobian
+    of (alpha, beta) = (-a*b, a) maps to (a, b). Returns one 2x2 block per
+    column, or None where the block is not positive definite.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    p = _sigmoid_np(np.asarray(alpha)[None, :] + np.asarray(beta)[None, :] * nodes[:, None])  # (K, I)
+    blocks: list = []
+    for j in range(cells.shape[1]):
+        oj = cells[:, j] != -1
+        if not oj.any():
+            blocks.append(None)
+            continue
+        x = (cells[oj, j] == 1).astype(np.float64)
+        g = post[oj]  # (So, K)
+        dev = x[:, None] - p[None, :, j]  # (So, K)
+        c = g * dev  # score contributions per node
+        d_alpha_s = c.sum(axis=1)
+        d_beta_s = c @ nodes
+        pq = (p[:, j] * (1.0 - p[:, j]))[None, :]
+        curv = g * (dev * dev - pq)
+        t0 = float(curv.sum())
+        t1 = float((curv @ nodes).sum())
+        t2 = float((curv @ (nodes * nodes)).sum())
+        h_aa = t0 - float(d_alpha_s @ d_alpha_s)
+        h_ab = t1 - float(d_alpha_s @ d_beta_s)
+        h_bb = t2 - float(d_beta_s @ d_beta_s)
+        h_int = np.array([[h_aa, h_ab], [h_ab, h_bb]])  # in (alpha, beta)
+        a = beta[j]
+        b = -alpha[j] / beta[j] if beta[j] != 0.0 else 0.0
+        jac = np.array([[-b, -a], [1.0, 0.0]])  # d(alpha,beta)/d(a,b)
+        g_alpha_total = float(d_alpha_s.sum())
+        info = -(jac.T @ h_int @ jac + g_alpha_total * np.array([[0.0, -1.0], [-1.0, 0.0]]))
+        if info[0, 0] <= 0.0 or np.linalg.det(info) <= 0.0:
+            blocks.append(None)
+        else:
+            blocks.append(info)
+    return blocks

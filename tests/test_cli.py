@@ -489,3 +489,56 @@ class TestConfigPrecedence:
             ]
         )
         assert code == 2
+
+
+def _module_conflict_log(path: Path) -> None:
+    """40 students x 6 exercises in m1 (ex0-ex2) and m2 (ex3-ex5); the even students log ex0 under m2."""
+    rng = np.random.default_rng(5)
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["student_id", "exercise_id", "module_id", "timestamp", "kind", "correct"])
+        minute = 0
+        for s in range(40):
+            theta = rng.standard_normal()
+            for j in range(6):
+                module = "m2" if j >= 3 or (j == 0 and s % 2 == 0) else "m1"
+                correct = rng.random() < 1.0 / (1.0 + math.exp(-(theta - (j % 3 - 1) / 2)))
+                stamp = f"2026-01-01T{minute // 60:02d}:{minute % 60:02d}:00Z"
+                writer.writerow([f"s{s:02d}", f"ex{j}", module, stamp, "attempt", "true" if correct else "false"])
+                minute += 1
+
+
+def test_pipeline_fits_a_module_conflicted_exercise_once(tmp_path):
+    log = tmp_path / "log.csv"
+    _module_conflict_log(log)
+    out = tmp_path / "p"
+    assert cli.main(["pipeline", "--input", str(log), "--out", str(out)]) == 0
+    holders = [
+        path.name
+        for path in sorted(out.glob("params_*.csv"))
+        if "ex0" in {p.item_id for p in read_csv(PARAMS, path.read_text())}
+    ]
+    assert holders == ["params_m1.csv"]
+    metrics = {m.exercise_id: m.module_id for m in read_csv(METRICS, (out / "metrics.csv").read_text())}
+    assert metrics["ex0"] == "m1"
+    summary = json.loads((out / "pipeline_summary.json").read_text())
+    assert summary["stages"]["metrics"]["module_conflicts"] == 1
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def test_equal_true_slopes_write_strict_json(tmp_path):
+    scenario = tmp_path / "flat.json"
+    scenario.write_text(json.dumps({"n_students": 300, "n_items": 10, "seed": 3, "a_range": [1.0, 1.0]}))
+    out = tmp_path / "p"
+    assert cli.main(["pipeline", "--input", str(scenario), "--out", str(out)]) == 0
+    artifacts = sorted(out.glob("*.json"))
+    assert "recovery.json" in [p.name for p in artifacts]
+    for path in artifacts:
+        json.loads(path.read_text(), parse_constant=_reject_constant)
+    recovery = json.loads((out / "recovery.json").read_text())
+    assert recovery["corr_a"] is None
+    assert recovery["undefined"] == ["corr_a"]
+    assert recovery["corr_b"] > 0.9

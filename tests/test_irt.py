@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -27,11 +28,19 @@ from itemlens.irt import (
     params_to_csv,
     sample_curves,
 )
+from itemlens import irt
 from itemlens.irt import test_information as total_information
 from itemlens.response import MISSING, ResponseMatrix
 from itemlens.tables import from_json, read_csv, to_json
 
-from oracles import brute_marginal_ll, grid_ascent_fit, normal_nodes_weights, sigmoid
+from oracles import (
+    brute_marginal_ll,
+    grid_ascent_fit,
+    maximize_item,
+    normal_nodes_weights,
+    observed_information_loop,
+    sigmoid,
+)
 
 finite_a = st.floats(min_value=-8, max_value=8, allow_nan=False)
 finite_b = st.floats(min_value=-6, max_value=6, allow_nan=False)
@@ -367,9 +376,8 @@ class TestFit2pl:
             assert (p.a, p.b, p.se_a, p.se_b) == (q.a, q.b, q.se_a, q.se_b)
         assert first.diagnostics.log_likelihood == second.diagnostics.log_likelihood
 
-    def test_standard_errors_match_numerical_hessian(self):
-        rng = np.random.default_rng(17)
-        m = _random_matrix(rng, 250, 3, [1.2, 0.9, 1.6], [0.2, -0.6, 0.9])
+    @staticmethod
+    def _assert_standard_errors_match_numerical_hessian(m):
         config = FitConfig()
         result = fit_2pl(m, config)
         quad = config.quadrature()
@@ -390,6 +398,36 @@ class TestFit2pl:
             se = np.sqrt(np.diag(np.linalg.inv(-0.5 * (hess + hess.T))))
             assert p.se_a == pytest.approx(se[0], rel=2e-3)
             assert p.se_b == pytest.approx(se[1], rel=2e-3)
+        return fitted
+
+    def test_standard_errors_match_numerical_hessian(self):
+        rng = np.random.default_rng(17)
+        m = _random_matrix(rng, 250, 3, [1.2, 0.9, 1.6], [0.2, -0.6, 0.9])
+        self._assert_standard_errors_match_numerical_hessian(m)
+
+    def test_standard_errors_match_numerical_hessian_with_missing_cells(self):
+        rng = np.random.default_rng(17)
+        m = _random_matrix(rng, 250, 3, [1.2, -0.9, 1.6], [0.2, -0.6, 0.9], missing_rate=0.15)
+        assert 0.1 < (m.cells == MISSING).mean() < 0.2
+        fitted = self._assert_standard_errors_match_numerical_hessian(m)
+        assert fitted[1].a < 0.0
+
+    def test_fit_peak_memory_stays_under_five_score_matrices(self):
+        # numpy reports its buffers to tracemalloc; the bound counts float64
+        # arrays the size of the matrix, so holding extra S x I temporaries
+        # (an unblocked standard-error pass, say) breaks it
+        rng = np.random.default_rng(2024)
+        n_students, n_items = 4000, 100
+        m = _random_matrix(
+            rng, n_students, n_items, rng.uniform(0.5, 2.0, n_items), rng.uniform(-2.0, 2.0, n_items), 0.1
+        )
+        tracemalloc.start()
+        try:
+            fit_2pl(m, FitConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.0 * n_students * n_items * 8
 
     def test_floors_are_configurable(self):
         cells = np.array([[1, 0], [0, 1], [1, 1], [0, 0]], dtype=np.int8)
@@ -512,3 +550,81 @@ class TestParamsCodecs:
     def test_csv_header(self):
         text = params_to_csv(self._params())
         assert text.splitlines()[0] == "item_id,a,b,se_a,se_b,degenerate"
+
+
+def _posterior_at(cells, alpha, beta, quad):
+    ones, obs = irt._masks(cells)
+    lam = irt._response_loglik_by_node(ones, obs, alpha, beta, quad.nodes)
+    _, post = irt._posteriors(lam, quad.weights)
+    return ones, obs, post
+
+
+def _awkward_items(seed, n_students, missing_rate):
+    """Cells and (alpha, beta) with a negative slope, a near-zero slope and a single-observation column."""
+    rng = np.random.default_rng(seed)
+    n_items = 8
+    a_true = rng.uniform(0.5, 2.0, n_items)
+    a_true[1] = -0.8
+    b_true = rng.uniform(-1.5, 1.5, n_items)
+    m = _random_matrix(rng, n_students, n_items, a_true, b_true, missing_rate)
+    cells = m.cells.copy()
+    cells[:, -1] = MISSING
+    cells[n_students // 2, -1] = 1
+    # near the generating values, where most blocks are positive definite
+    beta = a_true + rng.uniform(-0.1, 0.1, n_items)
+    alpha = -a_true * b_true + rng.uniform(-0.1, 0.1, n_items)
+    beta[2] = 1e-13
+    return cells, alpha, beta
+
+
+class TestObservedInformation:
+    @pytest.mark.parametrize(
+        "seed,n_students,missing_rate,block_rows",
+        [(1, 300, 0.1, irt.SE_BLOCK_ROWS), (2, 250, 0.2, 64), (3, 50, 0.15, 7)],
+    )
+    def test_blocks_match_loop_oracle(self, monkeypatch, seed, n_students, missing_rate, block_rows):
+        monkeypatch.setattr(irt, "SE_BLOCK_ROWS", block_rows)
+        quad = FitConfig().quadrature()
+        cells, alpha, beta = _awkward_items(seed, n_students, missing_rate)
+        ones, obs, post = _posterior_at(cells, alpha, beta, quad)
+        info, ok = irt._item_observed_information(ones, obs, post, alpha, beta, quad.nodes)
+        expected = observed_information_loop(cells, post, alpha, beta, quad.nodes)
+        assert ok.tolist() == [block is not None for block in expected]
+        assert ok.sum() >= 5
+        for got, block in zip(info, expected):
+            if block is not None:
+                # entry (i, j) against sqrt(|info_ii * info_jj|): a near-zero
+                # slope puts the diagonal entries 50 decades apart
+                scale = np.sqrt(np.outer(np.abs(np.diag(block)), np.abs(np.diag(block))))
+                assert np.all(np.abs(got - block) <= 1e-10 * scale)
+
+    def test_unobserved_column_has_no_block(self):
+        quad = FitConfig().quadrature()
+        cells, alpha, beta = _awkward_items(4, 60, 0.1)
+        cells[:, 0] = MISSING
+        ones, obs, post = _posterior_at(cells, alpha, beta, quad)
+        _, ok = irt._item_observed_information(ones, obs, post, alpha, beta, quad.nodes)
+        assert not ok[0]
+
+
+class TestMaximizeItems:
+    @pytest.mark.parametrize("max_steps", [1, 3, 50])
+    def test_matches_scalar_oracle_and_never_lowers_objective(self, max_steps):
+        quad = FitConfig().quadrature()
+        cells, alpha, beta = _awkward_items(5, 400, 0.15)
+        ones, obs, post = _posterior_at(cells, alpha, beta, quad)
+        r, n = ones.T @ post, obs.T @ post
+        start_alpha = np.zeros(cells.shape[1])
+        start_beta = np.ones(cells.shape[1])
+        start_beta[3] = -2.5
+        new_alpha, new_beta = irt._maximize_items(quad.nodes, r, n, start_alpha, start_beta, max_steps)
+        for j in range(cells.shape[1]):
+            want_alpha, want_beta = maximize_item(
+                quad.nodes, r[j], n[j], start_alpha[j], start_beta[j], max_steps
+            )
+            assert new_alpha[j] == pytest.approx(want_alpha, rel=1e-8, abs=1e-8)
+            assert new_beta[j] == pytest.approx(want_beta, rel=1e-8, abs=1e-8)
+        before = irt._expected_loglik(start_alpha, start_beta, quad.nodes, r, n)
+        after = irt._expected_loglik(new_alpha, new_beta, quad.nodes, r, n)
+        assert np.all(after >= before)
+        assert start_beta[0] == 1.0  # inputs are left alone

@@ -95,6 +95,32 @@ class TestResponseMatrix:
         m = ResponseMatrix("g", ["s1", "s2", "s3"], ["allone", "mixed", "empty", "mixed2"], cells)
         assert m.degenerate_items() == ["allone", "empty"]
 
+    @given(st.data())
+    def test_degenerate_items_match_column_loop(self, data):
+        n_students = data.draw(st.integers(min_value=0, max_value=6))
+        n_items = data.draw(st.integers(min_value=0, max_value=6))
+        cells = np.array(
+            data.draw(
+                st.lists(
+                    st.lists(st.sampled_from([MISSING, 0, 1]), min_size=n_items, max_size=n_items),
+                    min_size=n_students,
+                    max_size=n_students,
+                )
+            ),
+            dtype=np.int8,
+        ).reshape(n_students, n_items)
+        for j in data.draw(st.sets(st.integers(min_value=0, max_value=max(0, n_items - 1)))):
+            if j < n_items:
+                cells[:, j] = MISSING
+        items = [f"i{j}" for j in reversed(range(n_items))]  # column order, not sorted order
+        m = ResponseMatrix("g", [f"s{i}" for i in range(n_students)], items, cells)
+        expected = []
+        for j, item_id in enumerate(m.item_ids):
+            col = m.cells[m.observed()[:, j], j]
+            if col.size == 0 or np.all(col == col[0]):
+                expected.append(item_id)
+        assert m.degenerate_items() == expected
+
     def test_drop_items(self):
         m = self._matrix().drop_items(["b"])
         assert m.item_ids == ["a", "c"]

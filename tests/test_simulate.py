@@ -1,5 +1,4 @@
 import json
-import math
 import statistics
 
 import numpy as np
@@ -244,7 +243,9 @@ class TestRecoveryReport:
     def test_constant_side_has_undefined_correlation(self):
         truth = _params([(1.0, 0.0), (1.0, 1.0)])
         stats = recovery_report(truth, list(truth))
-        assert math.isnan(stats.corr_a)
+        assert stats.corr_a is None
+        assert stats.undefined == ["corr_a"]
+        assert stats.corr_b == pytest.approx(1.0)
 
     def test_dict_keys(self):
         truth = _params([(1.0, 0.0), (2.0, 1.0)])
@@ -257,6 +258,7 @@ class TestRecoveryReport:
             "corr_b",
             "max_err_a",
             "max_err_b",
+            "undefined",
         }
 
 
