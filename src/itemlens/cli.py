@@ -113,7 +113,6 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
         raise UsageFailure(f"format must be csv or json, got {cfg.fmt!r}")
     if cfg.seed is not None:
         cfg.seed = int(cfg.seed)
-        cfg.fit.seed = cfg.seed
     return cfg
 
 
@@ -232,6 +231,12 @@ def _fit_groups(summaries, cfg: RunConfig, out: Path) -> GroupFits:
         if cfg.default_group is not None:
             default = cfg.default_group
     build = build_matrices(summaries, grouping=mapping, threshold=cfg.threshold, default_group=default)
+    by_slug: dict[str, str] = {}
+    for matrix in build.matrices:
+        slug = _slug(matrix.group_id)
+        other = by_slug.setdefault(slug, matrix.group_id)
+        if other != matrix.group_id:
+            raise DomainFailure(f"groups {other!r} and {matrix.group_id!r} would both write params_{slug}.{cfg.fmt}")
     fitted: list[tuple[str, FitResult]] = []
     all_params: list[ItemParameters] = []
     files: list[str] = []

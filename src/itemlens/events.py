@@ -8,6 +8,9 @@ absent/null (JSONL) for hints, and ``timestamp`` is RFC 3339. Both formats
 ignore whitespace around a field and the case of ``kind``; in JSONL every
 field but ``correct`` must be a string or an integer.
 
+Each row rule is stated once: :class:`InteractionEvent` rejects an event no
+log may hold, a decoder per format rejects malformed cells, and one loop
+rejects a row whose instant is not after the last accepted row's.
 Malformed rows never abort a parse and are never dropped silently; they are
 collected into the returned report with their line number.
 """
@@ -21,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .tables import read_rows, write_rows
 
@@ -38,9 +41,15 @@ class EventKind(str, Enum):
     HINT = "hint"
 
 
+_KINDS = {kind.value: kind for kind in EventKind}
+
+
 @dataclass(frozen=True)
 class InteractionEvent:
-    """One logged student action (attempt or hint request) on one exercise."""
+    """One logged student action (attempt or hint request) on one exercise.
+
+    Raises ValueError for an event no log may hold; a string kind becomes its EventKind.
+    """
 
     student_id: str
     exercise_id: str
@@ -48,6 +57,22 @@ class InteractionEvent:
     timestamp: datetime
     kind: EventKind
     correct: bool | None = None
+
+    def __post_init__(self):
+        if not self.student_id:
+            raise ValueError("empty student_id")
+        if not self.exercise_id:
+            raise ValueError("empty exercise_id")
+        kind = _KINDS.get(self.kind)
+        if kind is None:
+            raise ValueError(f"unknown kind {self.kind!r}")
+        if kind is not self.kind:
+            object.__setattr__(self, "kind", kind)
+        if kind is EventKind.ATTEMPT:
+            if self.correct is None:
+                raise ValueError("attempt row lacks a correct value")
+        elif self.correct is not None:
+            raise ValueError("hint row carries a correct value")
 
 
 @dataclass(frozen=True)
@@ -96,7 +121,7 @@ class StudentExerciseSummary:
 
 @dataclass
 class ValidationReport:
-    """Counts and invariant violations for a parsed event sequence."""
+    """Counts for a parsed event sequence; callers add each rejected row as a violation."""
 
     n_events: int
     n_students: int
@@ -131,7 +156,7 @@ def format_timestamp(ts: datetime) -> str:
     return ts.strftime("%Y-%m-%dT%H:%M:%S.") + f"{ts.microsecond // 1000:03d}Z"
 
 
-_BOOL_VALUES = {"true": True, "false": False}
+_CORRECT_CELLS = {"true": True, "false": False, "": None}
 
 
 def _build_event(line: int, fields: Sequence[str], correct: bool | None) -> InteractionEvent | RowProblem:
@@ -140,34 +165,22 @@ def _build_event(line: int, fields: Sequence[str], correct: bool | None) -> Inte
     Both formats parse through here, so they share its whitespace and case rules.
     """
     student_id, exercise_id, module_id, timestamp, kind = (f.strip() for f in fields)
-    if not student_id:
-        return RowProblem(line, "empty student_id")
-    if not exercise_id:
-        return RowProblem(line, "empty exercise_id")
     try:
         ts = parse_timestamp(timestamp)
     except ValueError:
         return RowProblem(line, f"unparseable timestamp {timestamp!r}")
-    kind = kind.lower()
-    if kind == EventKind.ATTEMPT.value:
-        if correct is None:
-            return RowProblem(line, "attempt row lacks a correct value")
-        return InteractionEvent(student_id, exercise_id, module_id, ts, EventKind.ATTEMPT, correct)
-    if kind == EventKind.HINT.value:
-        if correct is not None:
-            return RowProblem(line, "hint row carries a correct value")
-        return InteractionEvent(student_id, exercise_id, module_id, ts, EventKind.HINT, None)
-    return RowProblem(line, f"unknown kind {kind!r}")
+    try:
+        return InteractionEvent(student_id, exercise_id, module_id, ts, kind.lower(), correct)
+    except ValueError as exc:
+        return RowProblem(line, str(exc))
 
 
-def _parse_csv(text: str) -> ParsedLog:
+def _decode_csv(text: str) -> Iterator[tuple[int, list[str], bool | None] | RowProblem]:
     reader = read_rows(text)
-    events: list[InteractionEvent] = []
-    problems: list[RowProblem] = []
     try:
         header = next(reader)
     except StopIteration:
-        return ParsedLog(events, problems)
+        return
     if [h.strip() for h in header] != CSV_HEADER:
         raise UnreadableStream(
             f"unexpected CSV header {header!r}; expected {','.join(CSV_HEADER)}"
@@ -176,59 +189,43 @@ def _parse_csv(text: str) -> ParsedLog:
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) != len(CSV_HEADER):
-            problems.append(RowProblem(line, f"expected {len(CSV_HEADER)} fields, got {len(row)}"))
+            yield RowProblem(line, f"expected {len(CSV_HEADER)} fields, got {len(row)}")
             continue
         *fields, correct_raw = row
         correct_raw = correct_raw.strip().lower()
-        if correct_raw == "":
-            correct = None
-        elif correct_raw in _BOOL_VALUES:
-            correct = _BOOL_VALUES[correct_raw]
+        if correct_raw in _CORRECT_CELLS:
+            yield line, fields, _CORRECT_CELLS[correct_raw]
         else:
-            problems.append(RowProblem(line, f"correct must be true/false/empty, got {correct_raw!r}"))
-            continue
-        out = _build_event(line, fields, correct)
-        if isinstance(out, RowProblem):
-            problems.append(out)
-        else:
-            events.append(out)
-    return ParsedLog(events, problems)
+            yield RowProblem(line, f"correct must be true/false/empty, got {correct_raw!r}")
 
 
-def _parse_jsonl(text: str) -> ParsedLog:
-    events: list[InteractionEvent] = []
-    problems: list[RowProblem] = []
+def _decode_jsonl(text: str) -> Iterator[tuple[int, list[str], bool | None] | RowProblem]:
     for line, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
             continue
         try:
             obj = json.loads(raw)
         except json.JSONDecodeError as exc:
-            problems.append(RowProblem(line, f"invalid JSON: {exc.msg}"))
+            yield RowProblem(line, f"invalid JSON: {exc.msg}")
             continue
         if not isinstance(obj, dict):
-            problems.append(RowProblem(line, "line is not a JSON object"))
+            yield RowProblem(line, "line is not a JSON object")
             continue
         missing = [k for k in _TEXT_FIELDS if k not in obj]
         if missing:
-            problems.append(RowProblem(line, f"missing fields: {', '.join(missing)}"))
+            yield RowProblem(line, f"missing fields: {', '.join(missing)}")
             continue
         # a field's text is a string or an integer; null, booleans, floats,
         # objects and arrays have no single text form
         bad = [k for k in _TEXT_FIELDS if isinstance(obj[k], bool) or not isinstance(obj[k], (str, int))]
         if bad:
-            problems.append(RowProblem(line, f"{bad[0]} must be a string or an integer, got {json.dumps(obj[bad[0]])}"))
+            yield RowProblem(line, f"{bad[0]} must be a string or an integer, got {json.dumps(obj[bad[0]])}")
             continue
         correct = obj.get("correct")
         if correct is not None and not isinstance(correct, bool):
-            problems.append(RowProblem(line, f"correct must be boolean or null, got {correct!r}"))
+            yield RowProblem(line, f"correct must be boolean or null, got {correct!r}")
             continue
-        out = _build_event(line, [str(obj[k]) for k in _TEXT_FIELDS], correct)
-        if isinstance(out, RowProblem):
-            problems.append(out)
-        else:
-            events.append(out)
-    return ParsedLog(events, problems)
+        yield line, [str(obj[k]) for k in _TEXT_FIELDS], correct
 
 
 def parse_event_log(stream: bytes | str | io.IOBase, fmt: str = "csv") -> ParsedLog:
@@ -237,7 +234,8 @@ def parse_event_log(stream: bytes | str | io.IOBase, fmt: str = "csv") -> Parsed
     ``stream`` may be bytes, text, or a file object. Raises
     :class:`UnreadableStream` when the stream cannot be decoded as UTF-8 or
     the CSV header does not match the contract; per-row issues are collected
-    in ``ParsedLog.problems`` instead of being raised.
+    in ``ParsedLog.problems`` instead of being raised, as is a row whose
+    instant is not after the last accepted row's.
     """
     if isinstance(stream, io.IOBase):
         stream = stream.read()
@@ -247,11 +245,26 @@ def parse_event_log(stream: bytes | str | io.IOBase, fmt: str = "csv") -> Parsed
         except UnicodeDecodeError as exc:
             raise UnreadableStream(f"input is not valid UTF-8: {exc}") from exc
     fmt = fmt.lower()
-    if fmt == "csv":
-        return _parse_csv(stream)
-    if fmt == "jsonl":
-        return _parse_jsonl(stream)
-    raise ValueError(f"unknown log format {fmt!r}; expected 'csv' or 'jsonl'")
+    if fmt not in ("csv", "jsonl"):
+        raise ValueError(f"unknown log format {fmt!r}; expected 'csv' or 'jsonl'")
+    rows = _decode_csv(stream) if fmt == "csv" else _decode_jsonl(stream)
+    events: list[InteractionEvent] = []
+    problems: list[RowProblem] = []
+    last_line = 0
+    for row in rows:
+        if isinstance(row, RowProblem):
+            problems.append(row)
+            continue
+        line = row[0]
+        event = _build_event(*row)
+        if isinstance(event, RowProblem):
+            problems.append(event)
+        elif events and event.timestamp <= events[-1].timestamp:
+            problems.append(RowProblem(line, f"timestamp not after line {last_line}'s"))
+        else:
+            events.append(event)
+            last_line = line
+    return ParsedLog(events, problems)
 
 
 def read_event_log(path: str | Path, fmt: str | None = None) -> ParsedLog:
@@ -309,38 +322,18 @@ def module_conflicts(events: Iterable[InteractionEvent]) -> list[str]:
 
 
 def validate_log(events: Sequence[InteractionEvent]) -> ValidationReport:
-    """Check event invariants and report counts; problems never raise."""
-    violations: list[str] = []
-    warnings: list[str] = []
-    students: set[str] = set()
-    exercises: set[str] = set()
-    n_attempts = 0
-    n_hints = 0
-    for idx, ev in enumerate(events):
-        students.add(ev.student_id)
-        exercises.add(ev.exercise_id)
-        if ev.kind is EventKind.ATTEMPT:
-            n_attempts += 1
-            if ev.correct is None:
-                violations.append(f"event {idx}: attempt without a correct value")
-        else:
-            n_hints += 1
-            if ev.correct is not None:
-                violations.append(f"event {idx}: hint carries correct={ev.correct}")
-        if not ev.student_id:
-            violations.append(f"event {idx}: empty student_id")
-        if not ev.exercise_id:
-            violations.append(f"event {idx}: empty exercise_id")
-    if not events:
-        warnings.append("log contains no events")
+    """Count events, students, exercises and kinds; an empty log warns.
+
+    No event breaks a row rule, so callers add each rejected row as ``line N: reason``.
+    """
+    n_hints = sum(ev.kind is EventKind.HINT for ev in events)
     return ValidationReport(
         n_events=len(events),
-        n_students=len(students),
-        n_exercises=len(exercises),
-        n_attempt_events=n_attempts,
+        n_students=len({ev.student_id for ev in events}),
+        n_exercises=len({ev.exercise_id for ev in events}),
+        n_attempt_events=len(events) - n_hints,
         n_hint_events=n_hints,
-        violations=violations,
-        warnings=warnings,
+        warnings=[] if events else ["log contains no events"],
     )
 
 

@@ -120,7 +120,6 @@ class FitConfig:
     b_bound: float = 50.0
     min_students: int = 10
     min_items: int = 2
-    seed: int = 0
 
     def quadrature(self) -> Quadrature:
         return Quadrature.normal(self.n_nodes, self.node_lo, self.node_hi)

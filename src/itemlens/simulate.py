@@ -50,6 +50,10 @@ class InvalidScenario(ValueError):
     pass
 
 
+class EmptyComparison(ValueError):
+    """Recovery statistics need at least one item."""
+
+
 @dataclass(frozen=True)
 class CohortSpec:
     n_students: int
@@ -144,17 +148,10 @@ def generate_responses(
 
 
 @dataclass
-class PairTally:
-    n_attempts: int = 0
-    n_correct: int = 0
-    n_wrong: int = 0
-    n_hints: int = 0
-
-
-@dataclass
 class SimulatedLog:
+    """The emitted events; tally them with :func:`itemlens.events.aggregate`."""
+
     events: list[InteractionEvent]
-    tallies: dict[tuple[str, str], PairTally]
 
 
 def generate_event_log(
@@ -164,15 +161,15 @@ def generate_event_log(
     seed: int,
     modules: dict[str, str] | None = None,
 ) -> SimulatedLog:
-    """Emit a full interaction log plus the tallies it was generated from.
+    """Emit a full interaction log.
 
     Events come out in canonical order (student, item, sequence) with
-    strictly increasing timestamps on a one-minute grid.
+    strictly increasing timestamps on a one-minute grid, so the log reads
+    back through :func:`itemlens.events.parse_event_log` unchanged.
     """
     modules = modules or {}
     base = parse_timestamp(_BASE_TIME)
     events: list[InteractionEvent] = []
-    tallies: dict[tuple[str, str], PairTally] = {}
     item_order = sorted(range(len(items)), key=lambda j: items[j].item_id)
     tick = 0
     for sidx, (sid, theta) in enumerate(cohort):
@@ -182,8 +179,6 @@ def generate_event_log(
             p = icc_prob(it.a, it.b, theta)
             rng_c = _pair_rng(seed, _TAG_CORRECT, sidx, iidx)
             rng_b = _pair_rng(seed, _TAG_BEHAVIOR, sidx, iidx)
-            tally = PairTally()
-            tallies[(sid, it.item_id)] = tally
             for attempt in range(behavior.max_attempts):
                 if behavior.hint_propensity > 0.0 and _open_uniform(rng_b) < behavior.hint_propensity:
                     events.append(
@@ -195,7 +190,6 @@ def generate_event_log(
                             kind=EventKind.HINT,
                         )
                     )
-                    tally.n_hints += 1
                     tick += 1
                 correct = bool(_open_uniform(rng_c) < p)
                 events.append(
@@ -209,17 +203,12 @@ def generate_event_log(
                     )
                 )
                 tick += 1
-                tally.n_attempts += 1
-                if correct:
-                    tally.n_correct += 1
-                    break
-                tally.n_wrong += 1
-                if attempt + 1 >= behavior.max_attempts:
+                if correct or attempt + 1 >= behavior.max_attempts:
                     break
                 if behavior.retry_prob <= 0.0 or _open_uniform(rng_b) >= behavior.retry_prob:
                     break
             tick += 1
-    return SimulatedLog(events=events, tallies=tallies)
+    return SimulatedLog(events=events)
 
 
 @dataclass(frozen=True)
@@ -259,6 +248,7 @@ def recovery_report(
     """Per-parameter RMSE, Pearson correlation, and max absolute error.
 
     Lists are aligned by item_id, so ordering differences do not matter.
+    Raises :class:`EmptyComparison` when there is no item to compare.
     """
     if len(true_params) != len(fitted_params):
         raise LengthMismatch(f"{len(true_params)} true vs {len(fitted_params)} fitted items")
@@ -267,6 +257,8 @@ def recovery_report(
     if set(true_by_id) != set(fit_by_id):
         raise LengthMismatch("true and fitted parameter item ids differ")
     ids = sorted(true_by_id)
+    if not ids:
+        raise EmptyComparison("no items to compare")
     ta = np.array([true_by_id[i].a for i in ids])
     tb = np.array([true_by_id[i].b for i in ids])
     fa = np.array([fit_by_id[i].a for i in ids])
@@ -277,8 +269,8 @@ def recovery_report(
         n_items=len(ids),
         rmse_a=float(np.sqrt(np.mean(ea * ea))),
         rmse_b=float(np.sqrt(np.mean(eb * eb))),
-        max_err_a=float(np.max(np.abs(ea))) if ids else 0.0,
-        max_err_b=float(np.max(np.abs(eb))) if ids else 0.0,
+        max_err_a=float(np.max(np.abs(ea))),
+        max_err_b=float(np.max(np.abs(eb))),
         undefined=[name for name, value in corr.items() if value is None],
         **corr,
     )
@@ -324,7 +316,7 @@ def _scenario_items(data: dict, seed: int) -> tuple[list[ItemParameters], dict[s
     b = b_lo + (b_hi - b_lo) * _open_uniform(rng, n_items)
     width = max(2, len(str(n_items - 1)))
     items = [ItemParameters(f"i{j:0{width}d}", float(a[j]), float(b[j])) for j in range(n_items)]
-    modules = {it.item_id: module_ids[j % len(module_ids)] for j, it in enumerate(items)}
+    modules = {it.item_id: str(module_ids[j % len(module_ids)]) for j, it in enumerate(items)}
     return items, modules
 
 
@@ -351,6 +343,12 @@ def load_scenario(source: str | Path | dict) -> Scenario:
             raise
         raise InvalidScenario(f"bad cohort fields: {exc}") from None
     items, modules = _scenario_items(data, cohort.seed)
+    # ids the log carries must survive re-reading, which strips cells and rejects an empty exercise id
+    if "" in modules:
+        raise InvalidScenario("empty item_id")
+    for ident in [*modules, *modules.values()]:
+        if ident != ident.strip():
+            raise InvalidScenario(f"id {ident!r} has surrounding whitespace")
     beh = data.get("behavior", {})
     if not isinstance(beh, dict):
         raise InvalidScenario("behavior must be an object")

@@ -88,3 +88,18 @@ def test_pipeline_passes_bench_checks(bench_inputs, tmp_path, source):
         assert check.check_fit(out) == []
         digests.append(check.tree_digest(out))
     assert digests[0] == digests[1]
+
+
+@pytest.mark.parametrize("source", ["log_csv", "log_jsonl", "scenario"])
+def test_ops_pipeline_matches_the_cli(bench_inputs, tmp_path, source):
+    # the traced benchmark run compares ops.py's files with the CLI's; a
+    # divergence between the two call sequences fails here first
+    path, _ = bench_inputs[source]
+    cli_out, ops_out = tmp_path / "cli", tmp_path / "ops"
+    assert cli.main(["pipeline", "--input", str(path), "--out", str(cli_out)]) == 0
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    cmd = [sys.executable, str(OPS), "pipeline", str(path), str(ops_out)]
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert check.same_files(cli_out, ops_out, "metrics.csv") == []
+    assert check.same_files(cli_out, ops_out, "params_*.csv") == []

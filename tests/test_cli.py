@@ -1,10 +1,15 @@
+import contextlib
 import csv
+import io
 import json
 import math
+import tempfile
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from itemlens import cli
 from itemlens.irt import PARAMS, ItemParameters, params_to_csv
@@ -542,3 +547,175 @@ def test_equal_true_slopes_write_strict_json(tmp_path):
     assert recovery["corr_a"] is None
     assert recovery["undefined"] == ["corr_a"]
     assert recovery["corr_b"] > 0.9
+
+
+def test_fit_seed_is_an_unknown_key(log_path, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"fit": {"seed": 1}}))
+    out = tmp_path / "m"
+    assert cli.main(["metrics", "--input", str(log_path), "--out", str(out), "--config", str(cfg)]) == 2
+    assert cli.main(["metrics", "--input", str(log_path), "--out", str(out), "--seed", "4"]) == 0
+    effective = json.loads((out / "effective_config.json").read_text())
+    assert effective["seed"] == 4
+    assert "seed" not in effective["fit"]
+
+
+OUT_OF_ORDER_LOG = (
+    "student_id,exercise_id,module_id,timestamp,kind,correct\n"
+    "s1,e1,m1,2024-03-01T10:00:00Z,attempt,true\n"
+    "s1,e2,m1,2023-03-01T10:00:00Z,attempt,false\n"
+)
+
+
+def test_out_of_order_row_is_rejected_by_every_log_command(tmp_path, capsys):
+    log = tmp_path / "log.csv"
+    log.write_text(OUT_OF_ORDER_LOG)
+    reason = "line 3: timestamp not after line 2's"
+    assert cli.main(["metrics", "--input", str(log), "--out", str(tmp_path / "m")]) == 1
+    assert reason in capsys.readouterr().err.splitlines()
+    for command in ("validate", "pipeline"):
+        out = tmp_path / command
+        assert cli.main([command, "--input", str(log), "--out", str(out)]) == 1
+        report = json.loads((out / "validation_report.json").read_text())
+        assert (report["n_events"], report["violations"]) == (1, [reason])
+
+
+def _colliding_groups_log(path: Path) -> None:
+    """60 students x 6 exercises, three in module "m 1" and three in "m_1"."""
+    rng = np.random.default_rng(8)
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["student_id", "exercise_id", "module_id", "timestamp", "kind", "correct"])
+        minute = 0
+        for s in range(60):
+            theta = rng.standard_normal()
+            for j in range(6):
+                correct = rng.random() < 1.0 / (1.0 + math.exp(-(theta - (j % 3 - 1) / 2)))
+                stamp = f"2026-01-01T{minute // 60:02d}:{minute % 60:02d}:00Z"
+                module = "m 1" if j < 3 else "m_1"
+                writer.writerow([f"s{s:02d}", f"ex{j}", module, stamp, "attempt", "true" if correct else "false"])
+                minute += 1
+
+
+@pytest.mark.parametrize("command", ["fit", "pipeline"])
+def test_groups_sharing_a_file_name_fail_before_writing(tmp_path, capsys, command):
+    log = tmp_path / "log.csv"
+    _colliding_groups_log(log)
+    out = tmp_path / "o"
+    assert cli.main([command, "--input", str(log), "--out", str(out)]) == 1
+    assert "groups 'm 1' and 'm_1' would both write params_m_1.csv" in capsys.readouterr().err
+    assert not list(out.glob("params_*")) and not list(out.glob("diagnostics_*"))
+
+
+@pytest.mark.parametrize(
+    "item",
+    [
+        {"item_id": "", "a": 1.0, "b": 0.0},
+        {"item_id": " a ", "a": 1.0, "b": 0.0},
+        {"item_id": "a", "a": 1.0, "b": 0.0, "module_id": "m1 "},
+    ],
+    ids=["empty", "padded-item", "padded-module"],
+)
+def test_simulate_rejects_ids_a_log_cannot_carry(tmp_path, item):
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps({"n_students": 30, "items": [item, {"item_id": "b", "a": 1.0, "b": 0.5}]}))
+    out = tmp_path / "o"
+    assert cli.main(["simulate", "--input", str(scenario), "--out", str(out)]) == 1
+    assert not (out / "log.csv").exists()
+
+
+# fuzzed logs: awkward ids, module conflicts ("m 1" and "m_1" also share a file
+# name), hint-only pairs, out-of-order and equal stamps, and now and then a bad row
+_FUZZ_ROW = st.tuples(
+    st.sampled_from(["s1", "s 2", "s,3", 's"4"']),
+    st.sampled_from(["e1", "e,2", 'e "3"', " e4 "]),
+    st.sampled_from(["m1", "m1", "m 1", "m_1"]),
+    st.sampled_from([1, 1, 1, 2, 0, -1]),  # minutes after the previous row
+    st.sampled_from([("attempt", True), ("attempt", False), ("hint", None), ("HINT", None)]),
+    st.sampled_from([None] * 8 + ["offset", "stamp", "fields", "junk", "kind", "cell", "correct", "empty-id"]),
+)
+
+
+def _fuzz_text(rows, fmt: str, careful: bool) -> str:
+    """The log text; a careful log keeps its stamps rising and writes no bad row."""
+    base = datetime(2026, 1, 1, tzinfo=timezone.utc)
+    minute = 0
+    lines = []
+    for sid, eid, module, step, (kind, correct), quirk in rows:
+        if careful:
+            step, quirk = max(step, 1), quirk if quirk == "offset" else None
+        minute += step
+        instant = base + timedelta(minutes=minute)
+        stamp = instant.strftime("%Y-%m-%dT%H:%M:%SZ")
+        if quirk == "offset":  # the same instant, written with a +01:00 offset
+            stamp = (instant + timedelta(hours=1)).strftime("%Y-%m-%dT%H:%M:%S+01:00")
+        elif quirk == "stamp":
+            stamp = "not-a-time"
+        elif quirk == "kind":
+            kind = "pageview"
+        elif quirk == "cell":
+            correct = "yes"
+        elif quirk == "correct":  # an attempt without a value, a hint with one
+            correct = True if correct is None else None
+        elif quirk == "empty-id":
+            sid = ""
+        if fmt == "jsonl":
+            obj = {"student_id": sid, "exercise_id": eid, "module_id": module, "timestamp": stamp, "kind": kind}
+            if correct is not None:
+                obj["correct"] = correct
+            if quirk == "fields":
+                del obj["kind"]
+            lines.append("{not json" if quirk == "junk" else json.dumps(obj))
+        else:
+            cell = {True: "true", False: "false", None: ""}.get(correct, correct)
+            cells = [sid, eid, module, stamp, kind, cell][: 5 if quirk == "fields" else 6]
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerow(["junk"] if quirk == "junk" else cells)
+            lines.append(buf.getvalue().rstrip("\n"))
+    header = [] if fmt == "jsonl" else ["student_id,exercise_id,module_id,timestamp,kind,correct"]
+    return "\n".join(header + lines) + "\n"
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+_FITTABLE = [  # three students on two items in m1: every command exits 0
+    ("s1", "e1", "m1", 1, ("attempt", True), None),
+    ("s 2", "e1", "m1", 1, ("attempt", False), None),
+    ("s1", "e,2", "m1", 1, ("attempt", False), None),
+    ("s 2", "e,2", "m1", 1, ("attempt", True), None),
+    ("s,3", "e1", "m1", 1, ("attempt", True), None),
+    ("s,3", "e,2", "m1", 1, ("attempt", True), "offset"),
+]
+
+
+@settings(max_examples=50, deadline=None)
+@example(_FITTABLE, "jsonl", True)
+@given(st.lists(_FUZZ_ROW, max_size=30), st.sampled_from(["csv", "jsonl"]), st.booleans())
+def test_fuzzed_logs_exit_cleanly_and_account_for_every_row(rows, fmt, careful):
+    with tempfile.TemporaryDirectory() as tmp:
+        log = Path(tmp) / f"log.{fmt}"
+        log.write_text(_fuzz_text(rows, fmt, careful))
+        config = Path(tmp) / "cfg.json"
+        config.write_text(json.dumps({"fit": {"min_students": 2}}))  # so that tiny groups reach the fit
+        rejected = {}
+        for command in ("validate", "metrics", "fit", "pipeline"):
+            out = Path(tmp) / command
+            code, err = _run([command, "--input", str(log), "--out", str(out), "--config", str(config)])
+            assert code in (0, 1, 2), (command, err)
+            for path in out.glob("*.json"):
+                json.loads(path.read_text(), parse_constant=_reject_constant)
+            if command in ("validate", "pipeline"):
+                report = json.loads((out / "validation_report.json").read_text())
+                lines = [v for v in report["violations"] if v.startswith("line ")]
+                assert report["n_events"] + len(lines) == len(rows)
+                rejected[command] = lines
+            else:
+                rejected[command] = [ln for ln in err.splitlines() if ln.startswith("line ")]
+            if rejected[command]:
+                assert code == 1
+        assert rejected["metrics"] == rejected["fit"] == rejected["pipeline"] == rejected["validate"]

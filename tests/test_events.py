@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from itemlens.events import (
     EventKind,
     InteractionEvent,
+    RowProblem,
     UnreadableStream,
     aggregate,
     events_to_csv,
@@ -89,6 +90,51 @@ s1,e1,m1,2020-09-01T10:00:00Z,attempt,true
         with pytest.raises(ValueError):
             parse_event_log(SAMPLE, fmt="xml")
 
+    def test_stamp_is_judged_before_the_event(self):
+        # a row with several faults reports its timestamp, which is parsed before the event is built
+        parsed = parse_event_log(f"{HEADER}\n,e1,m1,not-a-time,attempt,true\n")
+        assert parsed.problems == [RowProblem(2, "unparseable timestamp 'not-a-time'")]
+
+
+class TestTimestampOrder:
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_row_not_after_the_last_accepted_one_is_rejected(self, fmt):
+        stamps = [
+            "2024-01-01T10:00:00Z",
+            "2023-01-01T10:00:00Z",  # earlier
+            "2024-01-01T10:00:00+00:00",  # the same instant
+            "2024-01-01T10:00:01Z",
+            "2024-01-01T10:00:00.999Z",  # after line 2, but not after line 5
+        ]
+        rows = [["s1", "e1", "m1", ts, "attempt", "true"] for ts in stamps]
+        if fmt == "csv":
+            text = "\n".join([HEADER] + [",".join(r) for r in rows]) + "\n"
+            first = 2
+        else:
+            keys = HEADER.split(",")
+            text = "\n".join(json.dumps({**dict(zip(keys, r)), "correct": True}) for r in rows) + "\n"
+            first = 1
+        parsed = parse_event_log(text, fmt=fmt)
+        assert [ev.timestamp for ev in parsed.events] == [parse_timestamp(stamps[0]), parse_timestamp(stamps[3])]
+        assert parsed.problems == [
+            RowProblem(first + 1, f"timestamp not after line {first}'s"),
+            RowProblem(first + 2, f"timestamp not after line {first}'s"),
+            RowProblem(first + 4, f"timestamp not after line {first + 3}'s"),
+        ]
+
+    def test_instants_compare_not_strings(self):
+        # as strings, each stamp here sorts before the one above it
+        text = f"""{HEADER}
+s1,e1,m1,2024-01-01T10:00:00Z,attempt,true
+s1,e1,m1,2024-01-01T10:00:00.500Z,attempt,true
+s1,e1,m1,2024-01-01T11:00:01+01:00,attempt,true
+s1,e1,m1,2024-01-01T10:00:02,attempt,true
+s1,e1,m1,2024-01-01T05:00:03-05:00,hint,
+"""
+        parsed = parse_event_log(text)
+        assert parsed.ok
+        assert len(parsed.events) == 5
+
 
 class TestParseJsonl:
     def test_happy_path(self):
@@ -130,7 +176,8 @@ class TestParseJsonl:
     @pytest.mark.parametrize("value", [None, {"x": 1}, True, 1.5, ["s1"], 7])
     def test_id_must_be_string_or_integer(self, value):
         good = {"student_id": "s1", "exercise_id": "e1", "module_id": "m1", "timestamp": "2020-09-01T10:00:00Z", "kind": "hint"}
-        text = json.dumps(good) + "\n" + json.dumps({**good, "student_id": value}) + "\n"
+        later = {**good, "student_id": value, "timestamp": "2020-09-01T10:01:00Z"}
+        text = json.dumps(good) + "\n" + json.dumps(later) + "\n"
         parsed = parse_event_log(text, fmt="jsonl")
         if isinstance(value, int) and not isinstance(value, bool):
             assert parsed.ok
@@ -261,15 +308,32 @@ class TestValidate:
         assert report.warnings
 
     def test_invariant_violations(self):
-        bad = [
-            InteractionEvent("s1", "e1", "m1", parse_timestamp("2020-09-01T10:00:00Z"), EventKind.ATTEMPT, None),
-            InteractionEvent("s1", "e1", "m1", parse_timestamp("2020-09-01T10:00:00Z"), EventKind.HINT, True),
-            InteractionEvent("", "e1", "m1", parse_timestamp("2020-09-01T10:00:00Z"), EventKind.ATTEMPT, True),
+        # an event no log may hold cannot be built, so validate_log never sees one
+        ts = parse_timestamp("2020-09-01T10:00:00Z")
+        cases = [
+            (("s1", "e1", "m1", ts, EventKind.ATTEMPT, None), "attempt row lacks a correct value"),
+            (("s1", "e1", "m1", ts, EventKind.HINT, True), "hint row carries a correct value"),
+            (("", "e1", "m1", ts, EventKind.ATTEMPT, True), "empty student_id"),
+            (("s1", "", "m1", ts, EventKind.HINT, None), "empty exercise_id"),
+            (("s1", "e1", "m1", ts, "hint", True), "hint row carries a correct value"),
+            (("s1", "e1", "m1", ts, "pageview", None), "unknown kind 'pageview'"),
         ]
-        report = validate_log(bad)
-        assert not report.ok
-        assert len(report.violations) == 3
-        assert report.to_dict()["ok"] is False
+        for fields, reason in cases:
+            with pytest.raises(ValueError) as exc:
+                InteractionEvent(*fields)
+            assert str(exc.value) == reason
+
+    def test_plain_string_kind_is_its_member(self):
+        ts = parse_timestamp("2020-09-01T10:00:00Z")
+        events = [
+            InteractionEvent("s1", "e1", "m1", ts, "attempt", True),
+            InteractionEvent("s1", "e1", "m1", ts, "hint"),
+        ]
+        assert [ev.kind for ev in events] == [EventKind.ATTEMPT, EventKind.HINT]
+        (summary,) = aggregate(events)
+        assert (summary.n_attempts, summary.n_correct, summary.n_hints) == (1, 1, 1)
+        report = validate_log(events)
+        assert report.ok and (report.n_attempt_events, report.n_hint_events) == (1, 1)
 
     def test_report_dict_schema(self):
         d = validate_log([]).to_dict()

@@ -441,10 +441,10 @@ class TestFitConfig:
         assert (c.n_nodes, c.node_lo, c.node_hi) == (41, -5.0, 5.0)
         assert (c.tol, c.max_iter, c.newton_max_steps) == (1e-6, 500, 50)
         assert (c.a_bound, c.b_bound) == (10.0, 50.0)
-        assert (c.min_students, c.min_items, c.seed) == (10, 2, 0)
+        assert (c.min_students, c.min_items) == (10, 2)
 
     def test_dict_round_trip(self):
-        c = FitConfig(n_nodes=21, tol=1e-5, seed=7)
+        c = FitConfig(n_nodes=21, tol=1e-5, min_items=3)
         assert FitConfig.from_dict(asdict(c)) == c
 
     def test_unknown_keys_rejected(self):

@@ -1,5 +1,6 @@
 import json
 import statistics
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from itemlens.response import MISSING, build_matrices
 from itemlens.simulate import (
     BehaviorSpec,
     CohortSpec,
+    EmptyComparison,
     InvalidScenario,
     LengthMismatch,
     Scenario,
@@ -122,15 +124,19 @@ class TestGenerateEventLog:
     def test_recount_matches_tallies_exactly(self):
         cohort, items = _small_world()
         log = generate_event_log(cohort, items, BUSY, seed=7)
+        recount = Counter(
+            (e.student_id, e.exercise_id, "hint" if e.kind is EventKind.HINT else e.correct) for e in log.events
+        )
         summaries = aggregate(log.events)
-        assert len(summaries) == len(log.tallies)
+        assert len(summaries) == len(cohort) * len(items)
         for s in summaries:
-            tally = log.tallies[(s.student_id, s.exercise_id)]
+            key = (s.student_id, s.exercise_id)
+            n_correct, n_wrong = recount[(*key, True)], recount[(*key, False)]
             assert (s.n_attempts, s.n_correct, s.n_wrong, s.n_hints) == (
-                tally.n_attempts,
-                tally.n_correct,
-                tally.n_wrong,
-                tally.n_hints,
+                n_correct + n_wrong,
+                n_correct,
+                n_wrong,
+                recount[(*key, "hint")],
             )
 
     def test_timestamps_strictly_increasing(self):
@@ -167,8 +173,8 @@ class TestGenerateEventLog:
         log = generate_event_log(cohort, items, BehaviorSpec(), seed=5)
         assert all(e.kind is EventKind.ATTEMPT for e in log.events)
         assert len(log.events) == len(cohort) * len(items)
-        for tally in log.tallies.values():
-            assert tally.n_attempts == 1 and tally.n_hints == 0
+        pairs = Counter((e.student_id, e.exercise_id) for e in log.events)
+        assert set(pairs.values()) == {1}
 
     def test_modules_applied(self):
         cohort, items = _small_world(n=2)
@@ -239,6 +245,10 @@ class TestRecoveryReport:
         renamed = [ItemParameters("other", 1.0, 0.0), truth[1]]
         with pytest.raises(LengthMismatch):
             recovery_report(truth, renamed)
+
+    def test_empty_comparison_raises(self):
+        with pytest.raises(EmptyComparison):
+            recovery_report([], [])
 
     def test_constant_side_has_undefined_correlation(self):
         truth = _params([(1.0, 0.0), (1.0, 1.0)])
@@ -323,6 +333,25 @@ class TestLoadScenario:
         with pytest.raises(InvalidScenario):
             load_scenario(data)
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"items": [{"item_id": "", "a": 1.0, "b": 0.0}]},
+            {"items": [{"item_id": " a ", "a": 1.0, "b": 0.0}]},
+            {"items": [{"item_id": "a", "a": 1.0, "b": 0.0, "module_id": "ch1 "}]},
+            {"n_items": 3, "module_ids": ["ch1", " ch2"]},
+        ],
+        ids=["empty-item", "padded-item", "padded-module", "padded-generated-module"],
+    )
+    def test_ids_a_log_cannot_carry(self, data):
+        # a parsed log strips its cells and rejects an empty exercise id
+        with pytest.raises(InvalidScenario):
+            load_scenario({"n_students": 5, **data})
+
+    def test_generated_module_ids_are_text(self):
+        sc = load_scenario({"n_students": 5, "n_items": 3, "module_ids": [1, 2]})
+        assert sc.modules == {"i00": "1", "i01": "2", "i02": "1"}
+
     def test_broken_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -337,6 +366,6 @@ class TestRunScenario:
         assert isinstance(out.scenario, Scenario)
         assert [sid for sid, _ in out.cohort] == out.matrix.student_ids
         assert out.matrix.item_ids == sorted(p.item_id for p in sc.items)
-        assert set(out.log.tallies) == {
+        assert {(e.student_id, e.exercise_id) for e in out.log.events} == {
             (sid, p.item_id) for sid, _ in out.cohort for p in sc.items
         }
