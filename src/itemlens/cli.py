@@ -2,13 +2,20 @@
 
 Subcommands: validate, metrics, fit, classify, simulate, pipeline. Every
 command writes its artifacts into one output directory (--out, then the
-ITEMLENS_OUT environment variable, then ./itemlens_out) along with
-effective_config.json recording the settings actually used.
+ITEMLENS_OUT environment variable, then ./itemlens_out), and writes
+effective_config.json, the settings actually used, before anything else.
+
+Each stage (validate, metrics, fit, classify, simulate, recovery) is one
+function that writes its files and prints one line. The single-stage commands
+call one of them; pipeline calls them in order, printing each stage's line,
+and writes pipeline_summary.json, the stages that ran and every file written,
+on every exit after effective_config.json.
 
 Exit codes: 0 success, 1 domain failure (log rows that do not parse, or data
-that cannot be processed), 2 I/O or usage failure. Outputs are deterministic
-for fixed inputs and seed; no timestamps or absolute paths are embedded, so
-rerunning into a fresh directory reproduces the tree byte for byte.
+that cannot be processed), 2 I/O or usage failure, including a config value
+of the wrong JSON type. Outputs are deterministic for fixed inputs and seed;
+no timestamps or absolute paths are embedded, so rerunning into a fresh
+directory reproduces the tree byte for byte.
 """
 
 from __future__ import annotations
@@ -24,12 +31,12 @@ from typing import Sequence
 
 from . import events, tables
 from .irt import (
-    ABILITIES, PARAMS, DegenerateMatrix, FitConfig, FitResult, ItemParameters, fit_2pl, params_to_csv, sample_curves
+    ABILITIES, PARAMS, DegenerateMatrix, FitConfig, ItemParameters, fit_2pl, params_to_csv, sample_curves
 )
-from .metrics import METRICS, build_metrics_table
+from .metrics import METRICS, MetricsTable, build_metrics_table
 from .quality import classify_quality, quality_report
 from .response import build_matrices
-from .simulate import TRUE_ABILITIES, InvalidScenario, SimulationOutput, load_scenario, recovery_report, run_scenario
+from .simulate import TRUE_ABILITIES, SimulationOutput, load_scenario, recovery_report, run_scenario
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -80,6 +87,18 @@ def _first(*values):
     return None
 
 
+# the JSON type of each config-file key; null leaves a key unset, but fit must be an object
+_CONFIG_TYPES = {
+    "threshold": ((int, float), "a number"),
+    "grouping": (str, "a string"),
+    "default_group": (str, "a string"),
+    "table2_compat": (bool, "a boolean"),
+    "seed": (int, "an integer"),
+    "format": (str, "a string"),
+    "fit": (dict, "an object"),
+}
+
+
 def load_run_config(args: argparse.Namespace) -> RunConfig:
     """Merge CLI flags over config-file values over built-in defaults."""
     data: dict = {}
@@ -91,60 +110,66 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
             raise UsageFailure(f"config file is not valid JSON: {exc}") from None
         if not isinstance(data, dict):
             raise UsageFailure("config file must hold a JSON object")
+    for key, (kind, name) in _CONFIG_TYPES.items():
+        if key not in data or (data[key] is None and key != "fit"):
+            continue
+        value = data[key]
+        # JSON booleans are not numbers
+        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+            raise UsageFailure(f"config {key} must be {name}, got {json.dumps(value)}")
     try:
         fit = FitConfig.from_dict(data.get("fit", {}))
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise UsageFailure(f"bad fit config: {exc}") from None
-    try:
-        cfg = RunConfig(
-            threshold=float(_first(getattr(args, "threshold", None), data.get("threshold"), DEFAULT_THRESHOLD)),
-            grouping_path=_first(getattr(args, "grouping", None), data.get("grouping")),
-            default_group=data.get("default_group"),
-            table2_compat=bool(_first(getattr(args, "table2_compat", None), data.get("table2_compat"), False)),
-            seed=_first(getattr(args, "seed", None), data.get("seed")),
-            fmt=_first(getattr(args, "format", None), data.get("format"), "csv"),
-            fit=fit,
-        )
-    except (TypeError, ValueError) as exc:
-        raise UsageFailure(f"bad config value: {exc}") from None
+    cfg = RunConfig(
+        threshold=float(_first(getattr(args, "threshold", None), data.get("threshold"), DEFAULT_THRESHOLD)),
+        grouping_path=_first(getattr(args, "grouping", None), data.get("grouping")),
+        default_group=data.get("default_group"),
+        table2_compat=_first(getattr(args, "table2_compat", None), data.get("table2_compat"), False),
+        seed=_first(getattr(args, "seed", None), data.get("seed")),
+        fmt=_first(getattr(args, "format", None), data.get("format"), "csv"),
+        fit=fit,
+    )
     if not 0.0 < cfg.threshold <= 1.0:
         raise UsageFailure(f"threshold must be in (0, 1], got {cfg.threshold}")
     if cfg.fmt not in ("csv", "json"):
         raise UsageFailure(f"format must be csv or json, got {cfg.fmt!r}")
-    if cfg.seed is not None:
-        cfg.seed = int(cfg.seed)
     return cfg
 
 
-def _resolve_out(args: argparse.Namespace) -> Path:
-    out = getattr(args, "out", None) or os.environ.get(OUT_ENV_VAR) or "itemlens_out"
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+class Run:
+    """One command's settings and output directory, with every file it writes and each stage's status.
 
+    Creating a run writes ``effective_config.json`` first, so even a failed
+    command leaves a record of the settings it ran with.
+    """
 
-def _write_json(path: Path, data) -> None:
-    path.write_text(json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    def __init__(self, args: argparse.Namespace, command: str, input_path: str | None):
+        self.cfg = load_run_config(args)
+        out = getattr(args, "out", None) or os.environ.get(OUT_ENV_VAR) or "itemlens_out"
+        self.out = Path(out)
+        self.out.mkdir(parents=True, exist_ok=True)
+        self.input = Path(input_path).name if input_path else None
+        self.files: list[str] = []
+        self.stages: dict[str, dict] = {}
+        self.write_json(
+            "effective_config.json",
+            {"schema_version": 1, "command": command, "input": self.input, **self.cfg.to_dict()},
+        )
 
+    def write(self, name: str, text: str) -> None:
+        (self.out / name).write_text(text)
+        self.files.append(name)
 
-def _write_tabular(out: Path, stem: str, fmt: str, to_csv, to_dict) -> str:
-    """Write one table as ``stem.csv`` or ``stem.json``; returns the file name."""
-    name = f"{stem}.{fmt}"
-    if fmt == "csv":
-        (out / name).write_text(to_csv())
-    else:
-        _write_json(out / name, to_dict())
-    return name
+    def write_json(self, name: str, data) -> None:
+        self.write(name, json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
-
-def _echo_config(out: Path, cfg: RunConfig, command: str, input_path: str | None) -> None:
-    payload = {
-        "schema_version": 1,
-        "command": command,
-        "input": Path(input_path).name if input_path else None,
-    }
-    payload.update(cfg.to_dict())
-    _write_json(out / "effective_config.json", payload)
+    def write_table(self, stem: str, to_csv, to_dict) -> None:
+        """Write one table as ``stem.csv`` or ``stem.json``, as the run's format says."""
+        if self.cfg.fmt == "csv":
+            self.write(f"{stem}.csv", to_csv())
+        else:
+            self.write_json(f"{stem}.json", to_dict())
 
 
 def _slug(name: str) -> str:
@@ -153,46 +178,51 @@ def _slug(name: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# stages: each writes its artifacts, records its status and prints one line
 # ---------------------------------------------------------------------------
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args)
-    out = _resolve_out(args)
-    parsed = events.read_event_log(args.input)
+def _read_log(path: str) -> tuple[list[events.InteractionEvent], events.ValidationReport]:
+    """A log's accepted events and its report; each rejected row goes to stderr as ``line N: reason``."""
+    parsed = events.read_event_log(path)
     report = events.validate_log(parsed.events)
     for problem in parsed.problems:
         report.violations.append(f"line {problem.line}: {problem.reason}")
-    _echo_config(out, cfg, "validate", args.input)
-    _write_json(out / "validation_report.json", report.to_dict())
+        print(report.violations[-1], file=sys.stderr)
+    return parsed.events, report
+
+
+def _validate(run: Run, report: events.ValidationReport) -> None:
+    run.write_json("validation_report.json", report.to_dict())
+    run.stages["validate"] = {
+        "status": "ok" if report.ok else "failed",
+        "n_events": report.n_events,
+        "n_violations": len(report.violations),
+    }
     print(f"validate: {report.n_events} events, {len(report.violations)} violations")
-    return EXIT_OK if report.ok else EXIT_DOMAIN
 
 
-def _read_log_strict(path: str) -> list[events.InteractionEvent]:
-    """Events of a log that must parse cleanly: each rejected row goes to stderr and fails the run."""
-    parsed = events.read_event_log(path)
-    for problem in parsed.problems:
-        print(f"line {problem.line}: {problem.reason}", file=sys.stderr)
-    if parsed.problems:
-        raise DomainFailure(f"{len(parsed.problems)} malformed rows in {Path(path).name}")
-    if not parsed.events:
+def _clean_summaries(run: Run, log_events, report: events.ValidationReport) -> list[events.StudentExerciseSummary]:
+    """Per-pair tallies of a log that every later stage may use: no rejected row, and not empty."""
+    if not report.ok:
+        raise DomainFailure(f"{len(report.violations)} malformed rows in {run.input}")
+    if not log_events:
         raise DomainFailure("event log is empty")
-    return parsed.events
+    return events.aggregate(log_events)
 
 
-def cmd_metrics(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args)
-    out = _resolve_out(args)
-    summaries = events.aggregate(_read_log_strict(args.input))
+def _metrics(run: Run, log_events, summaries) -> MetricsTable:
     table = build_metrics_table(summaries)
-    _echo_config(out, cfg, "metrics", args.input)
-    _write_tabular(out, "metrics", cfg.fmt, table.to_csv, table.to_dict)
+    run.write_table("metrics", table.to_csv, table.to_dict)
+    run.stages["metrics"] = {
+        "status": "ok",
+        "n_exercises": len(table.rows),
+        "module_conflicts": len(events.module_conflicts(log_events)),
+    }
     for warning in table.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     print(f"metrics: {len(table.rows)} exercises, {len(table.warnings)} warnings")
-    return EXIT_OK
+    return table
 
 
 def _load_grouping(path: str) -> tuple[dict[str, str], str | None]:
@@ -212,19 +242,9 @@ def _load_grouping(path: str) -> tuple[dict[str, str], str | None]:
     return mapping, None if default is None else str(default)
 
 
-@dataclass
-class GroupFits:
-    fitted: list[tuple[str, FitResult]]
-    all_params: list[ItemParameters]
-    summary: dict
-    files: list[str]
-
-    @property
-    def any_fitted(self) -> bool:
-        return bool(self.fitted)
-
-
-def _fit_groups(summaries, cfg: RunConfig, out: Path) -> GroupFits:
+def _fit(run: Run, summaries) -> list[ItemParameters]:
+    """Fit every group and write its files; the fitted items of all groups, in group order."""
+    cfg = run.cfg
     mapping = default = None
     if cfg.grouping_path:
         mapping, default = _load_grouping(cfg.grouping_path)
@@ -237,9 +257,7 @@ def _fit_groups(summaries, cfg: RunConfig, out: Path) -> GroupFits:
         other = by_slug.setdefault(slug, matrix.group_id)
         if other != matrix.group_id:
             raise DomainFailure(f"groups {other!r} and {matrix.group_id!r} would both write params_{slug}.{cfg.fmt}")
-    fitted: list[tuple[str, FitResult]] = []
     all_params: list[ItemParameters] = []
-    files: list[str] = []
     groups_report: list[dict] = []
     for matrix in build.matrices:
         slug = _slug(matrix.group_id)
@@ -248,24 +266,17 @@ def _fit_groups(summaries, cfg: RunConfig, out: Path) -> GroupFits:
         except DegenerateMatrix as exc:
             groups_report.append({"group_id": matrix.group_id, "status": "skipped", "reason": str(exc)})
             continue
-        fitted.append((matrix.group_id, result))
         all_params.extend(result.items)
-        files.append(
-            _write_tabular(
-                out,
-                f"params_{slug}",
-                cfg.fmt,
-                lambda: params_to_csv(result.items),
-                lambda: tables.to_json(PARAMS, result.items, group_id=matrix.group_id),
-            )
+        run.write_table(
+            f"params_{slug}",
+            lambda: params_to_csv(result.items),
+            lambda: tables.to_json(PARAMS, result.items, group_id=matrix.group_id),
         )
-        (out / f"curves_{slug}.csv").write_text(sample_curves(result.items).to_csv())
-        files.append(f"curves_{slug}.csv")
-        (out / f"abilities_{slug}.csv").write_text(tables.write_csv(ABILITIES, result.abilities))
-        files.append(f"abilities_{slug}.csv")
+        run.write(f"curves_{slug}.csv", sample_curves(result.items).to_csv())
+        run.write(f"abilities_{slug}.csv", tables.write_csv(ABILITIES, result.abilities))
         diag = result.diagnostics
-        _write_json(
-            out / f"diagnostics_{slug}.json",
+        run.write_json(
+            f"diagnostics_{slug}.json",
             {
                 "schema_version": 1,
                 "group_id": diag.group_id,
@@ -278,7 +289,6 @@ def _fit_groups(summaries, cfg: RunConfig, out: Path) -> GroupFits:
                 "trace": diag.trace,
             },
         )
-        files.append(f"diagnostics_{slug}.json")
         groups_report.append(
             {
                 "group_id": matrix.group_id,
@@ -289,27 +299,81 @@ def _fit_groups(summaries, cfg: RunConfig, out: Path) -> GroupFits:
                 "log_likelihood": diag.log_likelihood,
             }
         )
-    summary = {
-        "schema_version": 1,
-        "groups": groups_report,
-        "empty_groups": build.skipped_groups,
-        "warnings": build.warnings,
-    }
-    return GroupFits(fitted=fitted, all_params=all_params, summary=summary, files=files)
+    run.write_json(
+        "fit_summary.json",
+        {
+            "schema_version": 1,
+            "groups": groups_report,
+            "empty_groups": build.skipped_groups,
+            "warnings": build.warnings,
+        },
+    )
+    n_fitted = sum(g["status"] == "fitted" for g in groups_report)
+    run.stages["fit"] = {"status": "ok" if n_fitted else "failed", "n_groups_fitted": n_fitted}
+    if not n_fitted:
+        unfittable = [g["group_id"] for g in groups_report] + build.skipped_groups
+        raise DomainFailure(f"no fittable group; unfittable: {sorted(unfittable)}")
+    print(f"fit: {n_fitted} group(s) fitted")
+    return all_params
+
+
+def _classify(run: Run, params: list[ItemParameters], metric_rows: list) -> None:
+    compat = run.cfg.table2_compat
+    verdicts = [classify_quality(p, table2_compat=compat) for p in params]
+    report = quality_report(verdicts, metric_rows, params, table2_compat=compat)
+    run.write_table("quality_report", report.to_csv, report.to_dict)
+    run.write_json("quality_summary.json", {"schema_version": 1, **report.summary})
+    run.stages["classify"] = {"status": "ok", "n_poor": report.summary["n_poor"]}
+    for warning in report.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    print(f"classify: {report.summary['n_poor']} poor of {report.summary['n_items']} items")
+
+
+def _simulate(run: Run, path: str) -> SimulationOutput:
+    sim = run_scenario(load_scenario(path, seed=run.cfg.seed))
+    run.write("log.csv", events.events_to_csv(sim.log.events))
+    run.write("truth_params.csv", params_to_csv(sim.scenario.items))
+    run.write("truth_abilities.csv", tables.write_csv(TRUE_ABILITIES, sim.cohort))
+    run.write("matrix.csv", sim.matrix.to_csv())
+    run.stages["simulate"] = {"status": "ok", "n_events": len(sim.log.events)}
+    print(
+        f"simulate: {len(sim.log.events)} events, "
+        f"{sim.scenario.cohort.n_students} students x {len(sim.scenario.items)} items"
+    )
+    return sim
+
+
+def _recovery(run: Run, truth_items: list[ItemParameters], params: list[ItemParameters]) -> None:
+    fitted_by_id = {p.item_id: p for p in params}
+    truth_sub = [t for t in truth_items if t.item_id in fitted_by_id]
+    stats = recovery_report(truth_sub, [fitted_by_id[t.item_id] for t in truth_sub])
+    run.write_json("recovery.json", {"schema_version": 1, "n_truth_items": len(truth_items), **stats.to_dict()})
+    run.stages["recovery"] = {"status": "ok", "n_compared": stats.n_items}
+    print(f"recovery: {stats.n_items} of {len(truth_items)} items compared")
+
+
+# ---------------------------------------------------------------------------
+# subcommands
+# ---------------------------------------------------------------------------
+
+
+def cmd_validate(args: argparse.Namespace) -> int:
+    run = Run(args, "validate", args.input)
+    _, report = _read_log(args.input)
+    _validate(run, report)
+    return EXIT_OK if report.ok else EXIT_DOMAIN
+
+
+def cmd_metrics(args: argparse.Namespace) -> int:
+    run = Run(args, "metrics", args.input)
+    log_events, report = _read_log(args.input)
+    _metrics(run, log_events, _clean_summaries(run, log_events, report))
+    return EXIT_OK
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args)
-    out = _resolve_out(args)
-    summaries = events.aggregate(_read_log_strict(args.input))
-    fits = _fit_groups(summaries, cfg, out)
-    _echo_config(out, cfg, "fit", args.input)
-    _write_json(out / "fit_summary.json", fits.summary)
-    if not fits.any_fitted:
-        skipped = [g["group_id"] for g in fits.summary["groups"]] + fits.summary["empty_groups"]
-        print(f"error: no fittable group; unfittable: {sorted(skipped)}", file=sys.stderr)
-        return EXIT_DOMAIN
-    print(f"fit: {len(fits.fitted)} group(s) fitted")
+    run = Run(args, "fit", args.input)
+    _fit(run, _clean_summaries(run, *_read_log(args.input)))
     return EXIT_OK
 
 
@@ -323,149 +387,43 @@ def _read_table(table: tables.Table, path: str) -> list:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args)
-    out = _resolve_out(args)
+    run = Run(args, "classify", args.params)
     params = _read_table(PARAMS, args.params)
     if not params:
         raise DomainFailure("parameters file has no items")
-    metric_rows = _read_table(METRICS, args.metrics) if args.metrics else []
-    verdicts = [classify_quality(p, table2_compat=cfg.table2_compat) for p in params]
-    report = quality_report(verdicts, metric_rows, params, table2_compat=cfg.table2_compat)
-    _echo_config(out, cfg, "classify", args.params)
-    _write_tabular(out, "quality_report", cfg.fmt, report.to_csv, report.to_dict)
-    _write_json(out / "quality_summary.json", {"schema_version": 1, **report.summary})
-    for warning in report.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    print(f"classify: {report.summary['n_poor']} poor of {report.summary['n_items']} items")
+    _classify(run, params, _read_table(METRICS, args.metrics) if args.metrics else [])
     return EXIT_OK
 
 
-def _load_scenario_checked(path: str, cfg: RunConfig):
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise InvalidScenario(f"scenario is not valid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise InvalidScenario("scenario must be a JSON object")
-    if cfg.seed is not None:
-        data = {**data, "seed": cfg.seed}
-    return load_scenario(data)
-
-
-def _write_sim_artifacts(out: Path, sim: SimulationOutput) -> list[str]:
-    (out / "log.csv").write_text(events.events_to_csv(sim.log.events))
-    (out / "truth_params.csv").write_text(params_to_csv(sim.scenario.items))
-    (out / "truth_abilities.csv").write_text(tables.write_csv(TRUE_ABILITIES, sim.cohort))
-    (out / "matrix.csv").write_text(sim.matrix.to_csv())
-    return ["log.csv", "truth_params.csv", "truth_abilities.csv", "matrix.csv"]
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args)
-    out = _resolve_out(args)
-    scenario = _load_scenario_checked(args.input, cfg)
-    sim = run_scenario(scenario)
-    _echo_config(out, cfg, "simulate", args.input)
-    _write_sim_artifacts(out, sim)
-    print(
-        f"simulate: {len(sim.log.events)} events, "
-        f"{scenario.cohort.n_students} students x {len(scenario.items)} items"
-    )
+    _simulate(Run(args, "simulate", args.input), args.input)
     return EXIT_OK
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args)
-    out = _resolve_out(args)
-    input_path = Path(args.input)
-    stages: dict[str, dict] = {}
-    artifacts: list[str] = ["effective_config.json"]
-    truth_items: list[ItemParameters] | None = None
-
-    _echo_config(out, cfg, "pipeline", args.input)
-
-    def finish(code: int) -> int:
-        _write_json(
-            out / "pipeline_summary.json",
-            {"schema_version": 1, "stages": stages, "artifacts": sorted(artifacts)},
+    """Every stage in order; ``pipeline_summary.json`` names the stages that ran and the files written, on any exit."""
+    run = Run(args, "pipeline", args.input)
+    try:
+        sim = None
+        if Path(args.input).suffix.lower() == ".json":
+            sim = _simulate(run, args.input)
+            log_events, report = sim.log.events, events.validate_log(sim.log.events)
+        else:
+            log_events, report = _read_log(args.input)
+        _validate(run, report)
+        summaries = _clean_summaries(run, log_events, report)
+        table = _metrics(run, log_events, summaries)
+        params = _fit(run, summaries)
+        _classify(run, params, table.rows)
+        if sim is not None:
+            _recovery(run, sim.scenario.items, params)
+        print(f"pipeline: {len(run.stages)} stages ok, {len(run.files) + 1} artifacts")
+    finally:
+        run.write_json(
+            "pipeline_summary.json",
+            {"schema_version": 1, "stages": run.stages, "artifacts": sorted(run.files)},
         )
-        return code
-
-    if input_path.suffix.lower() == ".json":
-        scenario = _load_scenario_checked(args.input, cfg)
-        sim = run_scenario(scenario)
-        artifacts += _write_sim_artifacts(out, sim)
-        stages["simulate"] = {"status": "ok", "n_events": len(sim.log.events)}
-        log_events = sim.log.events
-        parse_problems = []
-        truth_items = sim.scenario.items
-    else:
-        parsed = events.read_event_log(args.input)
-        log_events = parsed.events
-        parse_problems = parsed.problems
-
-    report = events.validate_log(log_events)
-    for problem in parse_problems:
-        report.violations.append(f"line {problem.line}: {problem.reason}")
-    _write_json(out / "validation_report.json", report.to_dict())
-    artifacts.append("validation_report.json")
-    stages["validate"] = {
-        "status": "ok" if report.ok else "failed",
-        "n_events": report.n_events,
-        "n_violations": len(report.violations),
-    }
-    if not report.ok:
-        print(f"error: validation failed with {len(report.violations)} violations", file=sys.stderr)
-        return finish(EXIT_DOMAIN)
-    if not log_events:
-        print("error: event log is empty", file=sys.stderr)
-        return finish(EXIT_DOMAIN)
-
-    summaries = events.aggregate(log_events)
-    table = build_metrics_table(summaries)
-    artifacts.append(_write_tabular(out, "metrics", cfg.fmt, table.to_csv, table.to_dict))
-    stages["metrics"] = {
-        "status": "ok",
-        "n_exercises": len(table.rows),
-        "module_conflicts": len(events.module_conflicts(log_events)),
-    }
-
-    fits = _fit_groups(summaries, cfg, out)
-    _write_json(out / "fit_summary.json", fits.summary)
-    artifacts.append("fit_summary.json")
-    artifacts += fits.files
-    stages["fit"] = {
-        "status": "ok" if fits.any_fitted else "failed",
-        "n_groups_fitted": len(fits.fitted),
-    }
-    if not fits.any_fitted:
-        print("error: no fittable group", file=sys.stderr)
-        return finish(EXIT_DOMAIN)
-
-    verdicts = [classify_quality(p, table2_compat=cfg.table2_compat) for p in fits.all_params]
-    q_report = quality_report(verdicts, table.rows, fits.all_params, table2_compat=cfg.table2_compat)
-    artifacts.append(_write_tabular(out, "quality_report", cfg.fmt, q_report.to_csv, q_report.to_dict))
-    _write_json(out / "quality_summary.json", {"schema_version": 1, **q_report.summary})
-    artifacts.append("quality_summary.json")
-    stages["classify"] = {"status": "ok", "n_poor": q_report.summary["n_poor"]}
-
-    if truth_items is not None:
-        fitted_by_id = {p.item_id: p for p in fits.all_params}
-        truth_sub = [t for t in truth_items if t.item_id in fitted_by_id]
-        stats = recovery_report(truth_sub, [fitted_by_id[t.item_id] for t in truth_sub])
-        _write_json(
-            out / "recovery.json",
-            {
-                "schema_version": 1,
-                "n_truth_items": len(truth_items),
-                **stats.to_dict(),
-            },
-        )
-        artifacts.append("recovery.json")
-        stages["recovery"] = {"status": "ok", "n_compared": stats.n_items}
-
-    print(f"pipeline: {len(stages)} stages ok, {len(artifacts) + 1} artifacts")
-    return finish(EXIT_OK)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -77,7 +77,7 @@ class InteractionEvent:
 
 @dataclass(frozen=True)
 class RowProblem:
-    """A rejected input row: 1-based line number plus the reason."""
+    """A rejected input row: the 1-based line it starts on, plus the reason."""
 
     line: int
     reason: str
@@ -176,16 +176,16 @@ def _build_event(line: int, fields: Sequence[str], correct: bool | None) -> Inte
 
 
 def _decode_csv(text: str) -> Iterator[tuple[int, list[str], bool | None] | RowProblem]:
-    reader = read_rows(text)
+    records = read_rows(text)
     try:
-        header = next(reader)
+        _, header = next(records)
     except StopIteration:
         return
     if [h.strip() for h in header] != CSV_HEADER:
         raise UnreadableStream(
             f"unexpected CSV header {header!r}; expected {','.join(CSV_HEADER)}"
         )
-    for line, row in enumerate(reader, start=2):
+    for line, row in records:
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) != len(CSV_HEADER):

@@ -126,10 +126,16 @@ class FitConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FitConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        """A config from parsed JSON; ValueError on an unknown key or a value of the wrong type."""
+        fields = cls.__dataclass_fields__
+        unknown = set(data) - set(fields)
         if unknown:
             raise ValueError(f"unknown fit config keys: {sorted(unknown)}")
+        for key, value in data.items():
+            # a float field takes any number, an int field only an integer; a boolean is neither
+            kind = (int, float) if isinstance(fields[key].default, float) else int
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
         return cls(**data)
 
 

@@ -320,8 +320,8 @@ def _scenario_items(data: dict, seed: int) -> tuple[list[ItemParameters], dict[s
     return items, modules
 
 
-def load_scenario(source: str | Path | dict) -> Scenario:
-    """Build a Scenario from a JSON file path or an already-parsed dict."""
+def load_scenario(source: str | Path | dict, seed: int | None = None) -> Scenario:
+    """Build a Scenario from a JSON file path or an already-parsed dict; a given ``seed`` replaces the scenario's."""
     if isinstance(source, (str, Path)):
         try:
             data = json.loads(Path(source).read_text())
@@ -331,6 +331,8 @@ def load_scenario(source: str | Path | dict) -> Scenario:
         data = source
     if not isinstance(data, dict):
         raise InvalidScenario("scenario must be a JSON object")
+    if seed is not None:
+        data = {**data, "seed": seed}
     try:
         cohort = CohortSpec(
             n_students=int(data.get("n_students", 0)),

@@ -105,10 +105,17 @@ def write_rows(header: Sequence[str], rows: Iterable[Sequence[str]], notes: Sequ
     return out.getvalue()
 
 
-def read_rows(text: str) -> Iterator[list[str]]:
-    """Every CSV record of ``text``, header included, as a list of cells."""
+def read_rows(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, cells) of every CSV record of ``text``, header included.
+
+    A record that spans lines (a quoted line break) is numbered by its first line.
+    """
+    reader = csv.reader(io.StringIO(text, newline=""))
+    line = 1
     try:
-        yield from csv.reader(io.StringIO(text, newline=""))
+        for cells in reader:
+            yield line, cells
+            line = reader.line_num + 1
     except csv.Error as exc:
         raise ValueError(f"malformed CSV: {exc}") from None
 

@@ -240,6 +240,17 @@ class TestFit:
         assert _tree(out1) == _tree(out2)
 
 
+def test_each_stage_writes_the_same_files_in_every_command(log_path, tmp_path):
+    for command in ("metrics", "fit", "pipeline"):
+        assert cli.main([command, "--input", str(log_path), "--out", str(tmp_path / command)]) == 0
+    metrics, fit, pipeline = (_tree(tmp_path / command) for command in ("metrics", "fit", "pipeline"))
+    assert metrics["metrics.csv"] == pipeline["metrics.csv"]
+    fit_files = {name for name in fit if name.startswith(("params_", "curves_", "abilities_", "diagnostics_"))}
+    assert len(fit_files) == 8
+    for name in fit_files | {"fit_summary.json"}:
+        assert fit[name] == pipeline[name], name
+
+
 class TestClassify:
     def _params_file(self, tmp_path):
         path = tmp_path / "params.csv"
@@ -471,7 +482,23 @@ class TestConfigPrecedence:
 
     @pytest.mark.parametrize(
         "content",
-        ["{broken", json.dumps({"threshold": 1.5}), json.dumps({"fit": {"bogus": 1}}), "[1]"],
+        [
+            "{broken",
+            json.dumps({"threshold": 1.5}),
+            json.dumps({"fit": {"bogus": 1}}),
+            "[1]",
+            json.dumps({"seed": [1]}),
+            json.dumps({"seed": "x"}),
+            json.dumps({"grouping": 5}),
+            json.dumps({"default_group": 5}),
+            json.dumps({"table2_compat": "no"}),
+            json.dumps({"threshold": True}),
+            json.dumps({"fit": None}),
+            json.dumps({"fit": {"n_nodes": "many"}}),
+            json.dumps({"fit": {"n_nodes": 21.5}}),
+            json.dumps({"fit": {"max_iter": True}}),
+            json.dumps({"fit": {"tol": None}}),
+        ],
     )
     def test_bad_config_exit_2(self, log_path, tmp_path, content):
         cfg = tmp_path / "cfg.json"
@@ -607,6 +634,30 @@ def test_groups_sharing_a_file_name_fail_before_writing(tmp_path, capsys, comman
     assert not list(out.glob("params_*")) and not list(out.glob("diagnostics_*"))
 
 
+def _pipeline_failure_input(tmp_path: Path, case: str) -> tuple[list[str], int, list[str]]:
+    """Arguments, exit code and the stages that finish before the run fails."""
+    log = tmp_path / "log.csv"
+    _colliding_groups_log(log)
+    if case == "colliding-groups":
+        return ["--input", str(log)], 1, ["metrics", "validate"]
+    if case == "bad-grouping":
+        (tmp_path / "groups.json").write_text("{broken")
+        return ["--input", str(log), "--grouping", str(tmp_path / "groups.json")], 2, ["metrics", "validate"]
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps({"n_students": 0, "n_items": 2}))
+    return ["--input", str(scenario)], 1, []
+
+
+@pytest.mark.parametrize("case", ["colliding-groups", "bad-grouping", "bad-scenario"])
+def test_pipeline_summary_is_written_on_a_failed_run(tmp_path, case):
+    argv, code, stages = _pipeline_failure_input(tmp_path, case)
+    out = tmp_path / "o"
+    assert cli.main(["pipeline", *argv, "--out", str(out)]) == code
+    summary = json.loads((out / "pipeline_summary.json").read_text())
+    assert sorted(summary["stages"]) == stages
+    assert summary["artifacts"] == sorted(set(_tree(out)) - {"pipeline_summary.json"})
+
+
 @pytest.mark.parametrize(
     "item",
     [
@@ -693,8 +744,16 @@ _FITTABLE = [  # three students on two items in m1: every command exits 0
 ]
 
 
+_COLLIDING = [  # groups "m 1" and "m_1" share a file name, so the fit fails after metrics.csv is written
+    (sid, eid, module, 1, ("attempt", bool(answer)), None)
+    for sid, answers in [("s1", [1, 0, 0, 1]), ("s 2", [0, 0, 1, 0]), ("s,3", [0, 1, 0, 0])]
+    for (eid, module), answer in zip([("e1", "m 1"), ("e,2", "m 1"), ('e "3"', "m_1"), (" e4 ", "m_1")], answers)
+]
+
+
 @settings(max_examples=50, deadline=None)
 @example(_FITTABLE, "jsonl", True)
+@example(_COLLIDING, "csv", True)
 @given(st.lists(_FUZZ_ROW, max_size=30), st.sampled_from(["csv", "jsonl"]), st.booleans())
 def test_fuzzed_logs_exit_cleanly_and_account_for_every_row(rows, fmt, careful):
     with tempfile.TemporaryDirectory() as tmp:
@@ -709,6 +768,9 @@ def test_fuzzed_logs_exit_cleanly_and_account_for_every_row(rows, fmt, careful):
             assert code in (0, 1, 2), (command, err)
             for path in out.glob("*.json"):
                 json.loads(path.read_text(), parse_constant=_reject_constant)
+            if command == "pipeline" and (out / "effective_config.json").exists():
+                summary = json.loads((out / "pipeline_summary.json").read_text())
+                assert summary["artifacts"] == sorted(set(_tree(out)) - {"pipeline_summary.json"})
             if command in ("validate", "pipeline"):
                 report = json.loads((out / "validation_report.json").read_text())
                 lines = [v for v in report["violations"] if v.startswith("line ")]

@@ -86,6 +86,17 @@ s1,e1,m1,2020-09-01T10:00:00Z,attempt,true
         # line numbers are 1-based and count the header
         assert [p.line for p in parsed.problems] == [2, 3, 4, 5, 6, 7, 8]
 
+    def test_rows_are_numbered_by_physical_line(self):
+        # the line-2 record spans lines 2-3 through a quoted line break, and line 5 is blank
+        text = (
+            f'{HEADER}\ns1,"ex\n1",m1,2020-09-01T10:00:00Z,attempt,true\n'
+            "s1,e2,m1,2020-09-01T10:01:00Z,attempt,maybe\n\n"
+            "s1,e3,m1,2020-09-01T10:02:00Z,attempt,yes\n"
+        )
+        parsed = parse_event_log(text)
+        assert [e.exercise_id for e in parsed.events] == ["ex\n1"]
+        assert [p.line for p in parsed.problems] == [4, 6]
+
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             parse_event_log(SAMPLE, fmt="xml")
