@@ -11,11 +11,11 @@ call one of them; pipeline calls them in order, printing each stage's line,
 and writes pipeline_summary.json, the stages that ran and every file written,
 on every exit after effective_config.json.
 
-Exit codes: 0 success, 1 domain failure (log rows that do not parse, or data
-that cannot be processed), 2 I/O or usage failure, including a config value
-of the wrong JSON type. Outputs are deterministic for fixed inputs and seed;
-no timestamps or absolute paths are embedded, so rerunning into a fresh
-directory reproduces the tree byte for byte.
+Exit codes: 0 success, 1 domain failure (log rows that do not parse, data
+that cannot be processed, or an invalid scenario), 2 I/O or usage failure,
+including a bad config or grouping file value. Outputs are deterministic for
+fixed inputs and seed; no timestamps or absolute paths are embedded, so
+rerunning into a fresh directory reproduces the tree byte for byte.
 """
 
 from __future__ import annotations
@@ -31,12 +31,13 @@ from typing import Sequence
 
 from . import events, tables
 from .irt import (
-    ABILITIES, PARAMS, DegenerateMatrix, FitConfig, ItemParameters, fit_2pl, params_to_csv, sample_curves
+    ABILITIES, FIT_FIELDS, PARAMS, DegenerateMatrix, FitConfig, ItemParameters, fit_2pl, params_to_csv, sample_curves
 )
 from .metrics import METRICS, MetricsTable, build_metrics_table
 from .quality import classify_quality, quality_report
 from .response import build_matrices
 from .simulate import TRUE_ABILITIES, SimulationOutput, load_scenario, recovery_report, run_scenario
+from .tables import BOOL, FLOAT, INT, TEXT, dict_of, load_fields, optional, record
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -56,85 +57,52 @@ class UsageFailure(Exception):
 
 @dataclass
 class RunConfig:
-    """Effective settings for one command after flag/file/default merging."""
+    """Effective settings for one command after flag/file/default merging; each field is a config-file key."""
 
     threshold: float = DEFAULT_THRESHOLD
-    grouping_path: str | None = None
+    grouping: str | None = None  # the grouping file's path
     default_group: str | None = None
     table2_compat: bool = False
     seed: int | None = None
-    fmt: str = "csv"
+    format: str = "csv"
     fit: FitConfig = field(default_factory=FitConfig)
 
-    def to_dict(self) -> dict:
-        # file names only: embedding run-specific paths would break
-        # byte-identical reruns from other directories
-        return {
-            "threshold": self.threshold,
-            "grouping": Path(self.grouping_path).name if self.grouping_path else None,
-            "default_group": self.default_group,
-            "table2_compat": self.table2_compat,
-            "seed": self.seed,
-            "format": self.fmt,
-            "fit": asdict(self.fit),
-        }
+    def __post_init__(self):
+        if not 0.0 < self.threshold <= 1.0:
+            raise UsageFailure(f"threshold must be in (0, 1], got {self.threshold}")
+        if self.format not in ("csv", "json"):
+            raise UsageFailure(f"format must be csv or json, got {self.format!r}")
 
 
-def _first(*values):
-    for v in values:
-        if v is not None:
-            return v
-    return None
+# every config-file key; null leaves a key unset, so that the flag or the default applies, but fit must be an object
+CONFIG_FIELDS = [
+    ("threshold", optional(FLOAT), None),
+    ("grouping", optional(TEXT), None),
+    ("default_group", optional(TEXT), None),
+    ("table2_compat", optional(BOOL), None),
+    ("seed", optional(INT), None),
+    ("format", optional(TEXT), None),
+    ("fit", record(FIT_FIELDS, FitConfig), {}),
+]
+# a grouping file: the fit group of each exercise id, and the group of every exercise it does not name
+GROUPING_FIELDS = [("map", dict_of(TEXT), None), ("default_group", optional(TEXT), None)]
 
 
-# the JSON type of each config-file key; null leaves a key unset, but fit must be an object
-_CONFIG_TYPES = {
-    "threshold": ((int, float), "a number"),
-    "grouping": (str, "a string"),
-    "default_group": (str, "a string"),
-    "table2_compat": (bool, "a boolean"),
-    "seed": (int, "an integer"),
-    "format": (str, "a string"),
-    "fit": (dict, "an object"),
-}
+def _load_file(path: str, fields, what: str) -> dict:
+    """The fields of a JSON file; UsageFailure when it is not valid JSON or breaks its schema."""
+    try:
+        return load_fields(fields, json.loads(Path(path).read_text()))
+    except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep to decode
+        raise UsageFailure(f"bad {what} file: {exc}") from None
 
 
 def load_run_config(args: argparse.Namespace) -> RunConfig:
     """Merge CLI flags over config-file values over built-in defaults."""
-    data: dict = {}
     cfg_path = getattr(args, "config", None)
-    if cfg_path:
-        try:
-            data = json.loads(Path(cfg_path).read_text())
-        except json.JSONDecodeError as exc:
-            raise UsageFailure(f"config file is not valid JSON: {exc}") from None
-        if not isinstance(data, dict):
-            raise UsageFailure("config file must hold a JSON object")
-    for key, (kind, name) in _CONFIG_TYPES.items():
-        if key not in data or (data[key] is None and key != "fit"):
-            continue
-        value = data[key]
-        # JSON booleans are not numbers
-        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-            raise UsageFailure(f"config {key} must be {name}, got {json.dumps(value)}")
-    try:
-        fit = FitConfig.from_dict(data.get("fit", {}))
-    except ValueError as exc:
-        raise UsageFailure(f"bad fit config: {exc}") from None
-    cfg = RunConfig(
-        threshold=float(_first(getattr(args, "threshold", None), data.get("threshold"), DEFAULT_THRESHOLD)),
-        grouping_path=_first(getattr(args, "grouping", None), data.get("grouping")),
-        default_group=data.get("default_group"),
-        table2_compat=_first(getattr(args, "table2_compat", None), data.get("table2_compat"), False),
-        seed=_first(getattr(args, "seed", None), data.get("seed")),
-        fmt=_first(getattr(args, "format", None), data.get("format"), "csv"),
-        fit=fit,
-    )
-    if not 0.0 < cfg.threshold <= 1.0:
-        raise UsageFailure(f"threshold must be in (0, 1], got {cfg.threshold}")
-    if cfg.fmt not in ("csv", "json"):
-        raise UsageFailure(f"format must be csv or json, got {cfg.fmt!r}")
-    return cfg
+    data = _load_file(cfg_path, CONFIG_FIELDS, "config") if cfg_path else {}
+    flags = {name: getattr(args, name, None) for name, _, _ in CONFIG_FIELDS}
+    values = {name: data.get(name) if flag is None else flag for name, flag in flags.items()}
+    return RunConfig(**{name: value for name, value in values.items() if value is not None})
 
 
 class Run:
@@ -152,9 +120,12 @@ class Run:
         self.input = Path(input_path).name if input_path else None
         self.files: list[str] = []
         self.stages: dict[str, dict] = {}
+        # the grouping file's name only: embedding run-specific paths would
+        # break byte-identical reruns from other directories
+        grouping = Path(self.cfg.grouping).name if self.cfg.grouping else None
         self.write_json(
             "effective_config.json",
-            {"schema_version": 1, "command": command, "input": self.input, **self.cfg.to_dict()},
+            {"schema_version": 1, "command": command, "input": self.input, **asdict(self.cfg), "grouping": grouping},
         )
 
     def write(self, name: str, text: str) -> None:
@@ -166,7 +137,7 @@ class Run:
 
     def write_table(self, stem: str, to_csv, to_dict) -> None:
         """Write one table as ``stem.csv`` or ``stem.json``, as the run's format says."""
-        if self.cfg.fmt == "csv":
+        if self.cfg.format == "csv":
             self.write(f"{stem}.csv", to_csv())
         else:
             self.write_json(f"{stem}.json", to_dict())
@@ -225,38 +196,18 @@ def _metrics(run: Run, log_events, summaries) -> MetricsTable:
     return table
 
 
-def _load_grouping(path: str) -> tuple[dict[str, str], str | None]:
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise UsageFailure(f"grouping file is not valid JSON: {exc}") from None
-    if isinstance(data, dict) and "map" in data:
-        mapping = data["map"]
-        default = data.get("default_group")
-    else:
-        mapping, default = data, None
-    if not isinstance(mapping, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in mapping.items()
-    ):
-        raise UsageFailure("grouping must map exercise ids to group names")
-    return mapping, None if default is None else str(default)
-
-
 def _fit(run: Run, summaries) -> list[ItemParameters]:
     """Fit every group and write its files; the fitted items of all groups, in group order."""
     cfg = run.cfg
-    mapping = default = None
-    if cfg.grouping_path:
-        mapping, default = _load_grouping(cfg.grouping_path)
-        if cfg.default_group is not None:
-            default = cfg.default_group
-    build = build_matrices(summaries, grouping=mapping, threshold=cfg.threshold, default_group=default)
+    grouping = _load_file(cfg.grouping, GROUPING_FIELDS, "grouping") if cfg.grouping else {"map": None}
+    default = grouping.get("default_group") if cfg.default_group is None else cfg.default_group
+    build = build_matrices(summaries, grouping=grouping["map"], threshold=cfg.threshold, default_group=default)
     by_slug: dict[str, str] = {}
     for matrix in build.matrices:
         slug = _slug(matrix.group_id)
         other = by_slug.setdefault(slug, matrix.group_id)
         if other != matrix.group_id:
-            raise DomainFailure(f"groups {other!r} and {matrix.group_id!r} would both write params_{slug}.{cfg.fmt}")
+            raise DomainFailure(f"groups {other!r} and {matrix.group_id!r} would both write params_{slug}.{cfg.format}")
     all_params: list[ItemParameters] = []
     groups_report: list[dict] = []
     for matrix in build.matrices:
@@ -437,7 +388,7 @@ def _add_common(p: argparse.ArgumentParser, with_input: str | None = None) -> No
     p.add_argument("--out", help=f"output directory (default ${OUT_ENV_VAR} or ./itemlens_out)")
     p.add_argument("--config", help="JSON config file; flags override its values")
     p.add_argument("--threshold", type=float, help=f"dichotomization threshold (default {DEFAULT_THRESHOLD})")
-    p.add_argument("--grouping", help="JSON mapping of exercise ids to fit groups")
+    p.add_argument("--grouping", help='JSON file {"map": {exercise id: fit group}, "default_group": group}')
     p.add_argument("--seed", type=int, help="seed override for simulation scenarios")
     p.add_argument(
         "--table2-compat",
@@ -489,13 +440,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (events.UnreadableStream, UsageFailure) as exc:
+    except (events.UnreadableStream, UsageFailure, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (DomainFailure, ValueError) as exc:
+    except (DomainFailure, ValueError, RecursionError) as exc:  # RecursionError: a JSON input nested too deep
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -271,12 +271,9 @@ def read_event_log(path: str | Path, fmt: str | None = None) -> ParsedLog:
     """Read an event log file, inferring the format from the extension."""
     path = Path(path)
     if fmt is None:
-        suffix = path.suffix.lower()
-        if suffix == ".csv":
-            fmt = "csv"
-        elif suffix in (".jsonl", ".ndjson", ".json"):
-            fmt = "jsonl"
-        else:
+        # a .json input is a scenario, never a log
+        fmt = {".csv": "csv", ".jsonl": "jsonl", ".ndjson": "jsonl"}.get(path.suffix.lower())
+        if fmt is None:
             raise UnreadableStream(f"cannot infer log format from {path.name!r}; use .csv or .jsonl")
     try:
         data = path.read_bytes()

@@ -31,7 +31,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .response import MISSING, ResponseMatrix
-from .tables import BOOL, FLOAT, TEXT, Table, optional, write_csv, write_rows
+from .tables import BOOL, FLOAT, TEXT, Table, number_fields, optional, write_csv, write_rows
 
 SE_BLOCK_ROWS = 1024  # students per block of the standard errors' S x I score matrices
 
@@ -121,22 +121,18 @@ class FitConfig:
     min_students: int = 10
     min_items: int = 2
 
+    def __post_init__(self):
+        self.quadrature()  # n_nodes >= 2 and node_lo < node_hi
+        for name in ("tol", "max_iter", "newton_max_steps", "a_bound", "b_bound", "min_students", "min_items"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+
     def quadrature(self) -> Quadrature:
         return Quadrature.normal(self.n_nodes, self.node_lo, self.node_hi)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "FitConfig":
-        """A config from parsed JSON; ValueError on an unknown key or a value of the wrong type."""
-        fields = cls.__dataclass_fields__
-        unknown = set(data) - set(fields)
-        if unknown:
-            raise ValueError(f"unknown fit config keys: {sorted(unknown)}")
-        for key, value in data.items():
-            # a float field takes any number, an int field only an integer; a boolean is neither
-            kind = (int, float) if isinstance(fields[key].default, float) else int
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ValueError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
-        return cls(**data)
+
+# the "fit" object of a config file: each FitConfig field, an integer or a finite number
+FIT_FIELDS = number_fields(FitConfig)
 
 
 class FitResult(NamedTuple):

@@ -188,8 +188,8 @@ POOLING_DIVERGENCE_LIMIT = 0.05
 
 METRIC_NOTES = [
     "dl is the mean over attempting students of (1 - correct_ratio).",
-    "hr and ir pool raw counts across students before dividing; "
-    "set per_student to average individual ratios instead.",
+    "hr and ir pool raw counts across students before dividing; the warnings name each exercise "
+    f"whose pooled hr or ir differs from its per-student reading by more than {POOLING_DIVERGENCE_LIMIT}.",
 ]
 
 

@@ -28,7 +28,7 @@ import numpy as np
 from .events import EventKind, InteractionEvent, parse_timestamp
 from .irt import ItemParameters, icc_prob
 from .response import MISSING, ResponseMatrix
-from .tables import FLOAT, TEXT, Table
+from .tables import FLOAT, ID, INT, TEXT, Table, list_of, load_fields, number_fields, optional, record
 
 _TAG_COHORT = 1
 _TAG_CORRECT = 2
@@ -114,6 +114,11 @@ def sample_cohort(spec: CohortSpec) -> list[tuple[str, float]]:
     ]
 
 
+def _check_missing_rate(rate: float) -> None:
+    if not 0.0 <= rate < 1.0:
+        raise InvalidScenario(f"missing_rate must be in [0, 1), got {rate}")
+
+
 def generate_responses(
     cohort: Sequence[tuple[str, float]],
     items: Sequence[ItemParameters],
@@ -126,8 +131,7 @@ def generate_responses(
     Cell (s, i) uses the first draw of the pair's correctness stream, which
     is also the first attempt's draw in generate_event_log.
     """
-    if not 0.0 <= missing_rate < 1.0:
-        raise InvalidScenario(f"missing_rate must be in [0, 1), got {missing_rate}")
+    _check_missing_rate(missing_rate)
     n_s, n_i = len(cohort), len(items)
     cells = np.full((n_s, n_i), MISSING, dtype=np.int8)
     for sidx, (_, theta) in enumerate(cohort):
@@ -284,85 +288,73 @@ class Scenario:
     behavior: BehaviorSpec
     missing_rate: float = 0.0
 
+    def __post_init__(self):
+        _check_missing_rate(self.missing_rate)
+        ids = [it.item_id for it in self.items]
+        # ids the log carries must survive re-reading, which strips cells and rejects an empty exercise id
+        if len(set(ids)) != len(ids) or "" in ids:
+            raise InvalidScenario("item ids must be unique and not empty")
+        for ident in [*ids, *self.modules.values()]:
+            if ident != ident.strip():
+                raise InvalidScenario(f"id {ident!r} has surrounding whitespace")
+
     @property
     def seed(self) -> int:
         return self.cohort.seed
 
 
-def _scenario_items(data: dict, seed: int) -> tuple[list[ItemParameters], dict[str, str]]:
-    module_ids = data.get("module_ids") or ["sim"]
-    if "items" in data:
-        items = []
-        modules = {}
-        for row in data["items"]:
-            try:
-                item = ItemParameters(item_id=str(row["item_id"]), a=float(row["a"]), b=float(row["b"]))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise InvalidScenario(f"bad item entry {row!r}: {exc}") from None
-            items.append(item)
-            modules[item.item_id] = str(row.get("module_id", module_ids[0]))
-        if len({it.item_id for it in items}) != len(items):
-            raise InvalidScenario("duplicate item ids in scenario")
-        return items, modules
-    n_items = data.get("n_items")
-    if not isinstance(n_items, int) or n_items <= 0:
+# every key a scenario file may hold: "items" lists the items, or else n_items are drawn from the ranges
+SCENARIO_ITEM_FIELDS = [
+    ("item_id", ID, None), ("a", FLOAT, None), ("b", FLOAT, None), ("module_id", optional(ID), None)
+]
+BEHAVIOR_FIELDS = number_fields(BehaviorSpec)
+SCENARIO_FIELDS = [
+    ("n_students", INT, None),
+    ("ability_mean", FLOAT, 0.0),
+    ("ability_sd", FLOAT, 1.0),
+    ("seed", INT, 0),
+    ("items", optional(list_of(record(SCENARIO_ITEM_FIELDS))), None),
+    ("n_items", optional(INT), None),
+    ("a_range", list_of(FLOAT, 2), [0.5, 2.0]),
+    ("b_range", list_of(FLOAT, 2), [-2.0, 2.0]),
+    ("module_ids", list_of(ID), []),
+    ("behavior", record(BEHAVIOR_FIELDS, BehaviorSpec), {}),
+    ("missing_rate", FLOAT, 0.0),
+]
+
+
+def _scenario_items(fields: dict) -> tuple[list[ItemParameters], dict[str, str]]:
+    module_ids = fields["module_ids"] or ["sim"]
+    if (rows := fields["items"]) is not None:
+        items = [ItemParameters(row["item_id"], row["a"], row["b"]) for row in rows]
+        return items, {row["item_id"]: module_ids[0] if row["module_id"] is None else row["module_id"] for row in rows}
+    n_items = fields["n_items"]
+    if n_items is None or n_items <= 0:
         raise InvalidScenario("scenario needs either an items list or a positive n_items")
-    a_lo, a_hi = data.get("a_range", [0.5, 2.0])
-    b_lo, b_hi = data.get("b_range", [-2.0, 2.0])
+    (a_lo, a_hi), (b_lo, b_hi) = fields["a_range"], fields["b_range"]
     if not (a_lo <= a_hi and b_lo <= b_hi):
         raise InvalidScenario("empty a_range or b_range")
-    rng = np.random.default_rng((seed, _TAG_ITEMS))
+    rng = np.random.default_rng((fields["seed"], _TAG_ITEMS))
     a = a_lo + (a_hi - a_lo) * _open_uniform(rng, n_items)
     b = b_lo + (b_hi - b_lo) * _open_uniform(rng, n_items)
     width = max(2, len(str(n_items - 1)))
     items = [ItemParameters(f"i{j:0{width}d}", float(a[j]), float(b[j])) for j in range(n_items)]
-    modules = {it.item_id: str(module_ids[j % len(module_ids)]) for j, it in enumerate(items)}
+    modules = {it.item_id: module_ids[j % len(module_ids)] for j, it in enumerate(items)}
     return items, modules
 
 
 def load_scenario(source: str | Path | dict, seed: int | None = None) -> Scenario:
     """Build a Scenario from a JSON file path or an already-parsed dict; a given ``seed`` replaces the scenario's."""
-    if isinstance(source, (str, Path)):
-        try:
-            data = json.loads(Path(source).read_text())
-        except json.JSONDecodeError as exc:
-            raise InvalidScenario(f"scenario is not valid JSON: {exc}") from None
-    else:
-        data = source
-    if not isinstance(data, dict):
-        raise InvalidScenario("scenario must be a JSON object")
-    if seed is not None:
-        data = {**data, "seed": seed}
     try:
-        cohort = CohortSpec(
-            n_students=int(data.get("n_students", 0)),
-            ability_mean=float(data.get("ability_mean", 0.0)),
-            ability_sd=float(data.get("ability_sd", 1.0)),
-            seed=int(data.get("seed", 0)),
-        )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, InvalidScenario):
-            raise
-        raise InvalidScenario(f"bad cohort fields: {exc}") from None
-    items, modules = _scenario_items(data, cohort.seed)
-    # ids the log carries must survive re-reading, which strips cells and rejects an empty exercise id
-    if "" in modules:
-        raise InvalidScenario("empty item_id")
-    for ident in [*modules, *modules.values()]:
-        if ident != ident.strip():
-            raise InvalidScenario(f"id {ident!r} has surrounding whitespace")
-    beh = data.get("behavior", {})
-    if not isinstance(beh, dict):
-        raise InvalidScenario("behavior must be an object")
-    behavior = BehaviorSpec(
-        max_attempts=int(beh.get("max_attempts", 1)),
-        retry_prob=float(beh.get("retry_prob", 0.0)),
-        hint_propensity=float(beh.get("hint_propensity", 0.0)),
-    )
-    missing_rate = float(data.get("missing_rate", 0.0))
-    if not 0.0 <= missing_rate < 1.0:
-        raise InvalidScenario(f"missing_rate must be in [0, 1), got {missing_rate}")
-    return Scenario(cohort=cohort, items=items, modules=modules, behavior=behavior, missing_rate=missing_rate)
+        data = json.loads(Path(source).read_text()) if isinstance(source, (str, Path)) else source
+        fields = load_fields(SCENARIO_FIELDS, data)
+    except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep to decode
+        raise InvalidScenario(f"bad scenario: {exc}") from None
+    if seed is not None:
+        fields["seed"] = seed
+    cohort = CohortSpec(fields["n_students"], fields["ability_mean"], fields["ability_sd"], fields["seed"])
+    items, modules = _scenario_items(fields)
+    return Scenario(cohort, items, modules, fields["behavior"], fields["missing_rate"])
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""One codec for every tabular artifact: CSV text and JSON records.
+"""One codec for every tabular artifact and every JSON input.
 
 A :class:`Table` lists a row type's columns once, each with a :class:`Cell`
 that turns a value into a CSV cell or JSON value and back. Every CSV the
@@ -6,12 +6,17 @@ package writes goes through :func:`write_rows` (standard quoting, ``\\n``
 line ends, optional trailing ``# note`` lines) and every CSV it reads goes
 through :func:`read_rows` or :func:`read_csv`, so whatever one subcommand
 writes, another reads back cell for cell.
+
+A cell's ``load`` is also the one type rule for the JSON input files, whose
+fields :func:`load_fields` checks: a boolean is not a number, a float is finite.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
+import math
 from dataclasses import dataclass
 from itertools import chain
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -32,23 +37,36 @@ class Cell:
     nullable: bool = False
 
 
+def _typed(kinds, name: str, convert: Callable = _same) -> Callable[[Any], Any]:
+    """A JSON value -> value rule: one of ``kinds``, and a boolean only when they are ``bool``."""
+
+    def load(value):
+        if isinstance(value, bool) != (kinds is bool) or not isinstance(value, kinds):
+            raise ValueError(f"expected {name}, got {json.dumps(value)}")
+        return convert(value)
+
+    return load
+
+
+def _finite(value) -> float:  # value: CSV text or a JSON number
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return number
+
+
 def _parse_bool(text: str) -> bool:
     if text not in ("true", "false"):
         raise ValueError(f"expected true or false, got {text!r}")
     return text == "true"
 
 
-def _load_bool(value) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"expected a boolean, got {value!r}")
-    return value
-
-
-TEXT = Cell(str, str, str)
-INT = Cell(str, int, int)
-FLOAT = Cell(repr, float, float)  # shortest repr: reads back as the same float
-FLOAT4 = Cell(lambda v: f"{v:.4f}", float, float)  # four decimals, for reading by eye
-BOOL = Cell(lambda v: "true" if v else "false", _parse_bool, _load_bool)
+TEXT = Cell(str, str, _typed(str, "a string"))
+ID = Cell(str, str, _typed((str, int), "a string or an integer", str))  # as in a JSONL log row
+INT = Cell(str, int, _typed(int, "an integer"))
+FLOAT = Cell(repr, _finite, _typed((int, float), "a number", _finite))  # repr reads back as the same float
+FLOAT4 = Cell(lambda v: f"{v:.4f}", _finite, FLOAT.load)  # four decimals, for reading by eye
+BOOL = Cell(lambda v: "true" if v else "false", _parse_bool, _typed(bool, "a boolean"))
 
 
 def optional(cell: Cell) -> Cell:
@@ -173,16 +191,63 @@ def to_json(table: Table, rows: Iterable, **extra) -> dict:
 
 def from_json(table: Table, data) -> list:
     """Rows of a document written by :func:`to_json`; ValueError when malformed."""
-    rows = []
+    fields = [(name, cell, None) for name, cell in table.columns]
     try:
-        for record in data[table.key]:
-            values = []
-            for name, cell in table.columns:
-                value = record.get(name)
-                if value is None and not cell.nullable:
-                    raise ValueError(f"{name!r} is missing")
-                values.append(cell.load(value))
-            rows.append(table.make(values))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        return [table.make(list(load_fields(fields, record).values())) for record in data[table.key]]
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad {table.key} JSON: {exc}") from None
-    return rows
+
+
+def load_fields(fields: Sequence[tuple], data) -> dict:
+    """Each (name, cell, default) field's value in a JSON object, by name.
+
+    A missing key reads its default, so a default of None makes a field
+    required. ValueError, naming the field, on a bad value or key.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"expected an object, got {json.dumps(data)}")
+    unknown = sorted(set(data) - {name for name, _, _ in fields})
+    if unknown:
+        raise ValueError(f"unknown keys {unknown}")
+    values = {}
+    for name, cell, default in fields:
+        value = data.get(name, default)
+        try:
+            if value is None and not cell.nullable:
+                raise ValueError("must not be null" if name in data else "missing")
+            values[name] = cell.load(value)
+        except (ValueError, OverflowError) as exc:  # overflow: an integer beyond the float range
+            raise ValueError(f"{name}: {exc}") from None
+    return values
+
+
+def record(fields: Sequence[tuple], make: Callable = dict) -> Cell:
+    """A JSON-only cell: an object of ``fields``, passed to ``make`` as keywords."""
+    return Cell(None, None, lambda value: make(**load_fields(fields, value)))
+
+
+def dict_of(cell: Cell) -> Cell:
+    """A JSON-only cell: an object with a ``cell`` value under each key."""
+
+    def load(value) -> dict:
+        keys = value if isinstance(value, dict) else ()  # load_fields rejects a non-object
+        return load_fields([(key, cell, None) for key in keys], value)
+
+    return Cell(None, None, load)
+
+
+def list_of(cell: Cell, size: int | None = None) -> Cell:
+    """A JSON-only cell: a list of ``cell`` values, exactly ``size`` of them when given."""
+
+    def load(value) -> list:
+        if not isinstance(value, list) or size not in (None, len(value)):
+            raise ValueError(f"expected a list{'' if size is None else f' of {size}'}, got {json.dumps(value)}")
+        # read as the object {"[0]": value[0], ...}, so that a message names the position
+        return list(dict_of(cell).load({f"[{i}]": item for i, item in enumerate(value)}).values())
+
+    return Cell(None, None, load)
+
+
+def number_fields(cls) -> list[tuple]:
+    """(name, INT or FLOAT, default) for each field of a dataclass of numbers, by its default's type."""
+    return [(f.name, INT if type(f.default) is int else FLOAT, f.default) for f in cls.__dataclass_fields__.values()]

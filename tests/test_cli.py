@@ -12,9 +12,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from itemlens import cli
-from itemlens.irt import PARAMS, ItemParameters, params_to_csv
+from itemlens.irt import FIT_FIELDS, PARAMS, ItemParameters, params_to_csv
 from itemlens.metrics import METRICS
-from itemlens.tables import read_csv
+from itemlens.simulate import BEHAVIOR_FIELDS, SCENARIO_FIELDS, SCENARIO_ITEM_FIELDS
+from itemlens.tables import read_csv, to_json
 
 ANCHOR_PARAMS = [
     ItemParameters("AlistRemovePROp", -0.4715, 6.72),
@@ -90,9 +91,11 @@ class TestValidate:
 
     @pytest.mark.parametrize("command", ["validate", "metrics", "fit", "pipeline"])
     def test_unknown_log_extension_exit_2(self, log_path, tmp_path, command):
-        odd = tmp_path / "log.txt"
-        odd.write_bytes(log_path.read_bytes())
-        assert cli.main([command, "--input", str(odd), "--out", str(tmp_path / "v")]) == 2
+        # a .json input is a scenario, never a log; pipeline reads it as one
+        for suffix in ["txt"] if command == "pipeline" else ["txt", "json"]:
+            odd = tmp_path / f"log.{suffix}"
+            odd.write_bytes(log_path.read_bytes())
+            assert cli.main([command, "--input", str(odd), "--out", str(tmp_path / "v")]) == 2, suffix
 
 
 MAYBE_LOG = (
@@ -337,6 +340,22 @@ class TestClassify:
         path.write_text("foo,bar\n1,2\n")
         assert cli.main(["classify", "--params", str(path), "--out", str(tmp_path / "c")]) == 1
 
+    @pytest.mark.parametrize("suffix", ["csv", "json"])
+    def test_non_finite_params_exit_1(self, tmp_path, capsys, suffix):
+        items = [ItemParameters("nan_b", 1.0, math.nan), ItemParameters("inf_a", math.inf, 0.5)]
+        for item in items:
+            path = tmp_path / f"params.{suffix}"
+            if suffix == "csv":
+                path.write_text(params_to_csv([item]))
+            else:
+                path.write_text(json.dumps(to_json(PARAMS, [item])))
+            out = tmp_path / "c"
+            assert cli.main(["classify", "--params", str(path), "--out", str(out)]) == 1
+            column = "b" if item.item_id == "nan_b" else "a"
+            where = "line 2," if suffix == "csv" else "bad items JSON:"
+            assert f"{where} {column}: expected a finite number" in capsys.readouterr().err
+            assert not (out / "quality_report.csv").exists()
+
 
 class TestSimulate:
     def test_artifacts_written(self, sim_dir):
@@ -521,6 +540,56 @@ class TestConfigPrecedence:
             ]
         )
         assert code == 2
+
+
+_BAD_FITS = [
+    {"a_bound": 0}, {"max_iter": 0}, {"tol": -1}, {"min_students": -5}, {"n_nodes": 1}, {"node_lo": 3, "node_hi": -3}
+]
+_BAD_SCENARIOS = [
+    {"missing_rate": None},
+    {"behavior": {"retry_prob": None}},
+    {"a_range": "ab"},
+    {"n_students": True},
+    {"n_students": 50.0},
+    {"seed": 1.5},
+    {"ability_sd": "2"},
+    {"behavior": {"max_attempts": 2.7}},
+    {"module_ids": "abc"},
+    {"ability_mean": math.nan},
+]
+_BAD_INPUTS = [
+    *[("config", {"fit": fit}, 2) for fit in _BAD_FITS],
+    ("grouping", {"map": {}, "default_group": True}, 2),
+    *[("scenario", {"n_students": 30, "n_items": 4, **change}, 1) for change in _BAD_SCENARIOS],
+]
+
+
+@pytest.mark.parametrize("kind, content, code", _BAD_INPUTS, ids=[json.dumps(c) for _, c, _ in _BAD_INPUTS])
+def test_bad_input_file_stops_the_run(log_path, tmp_path, kind, content, code):
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(content))
+    out = tmp_path / "o"
+    if kind == "scenario":
+        argv = ["simulate", "--input", str(path)]
+    else:
+        argv = ["fit", "--input", str(log_path), f"--{kind}", str(path)]
+    got, err = _run([*argv, "--out", str(out)])
+    assert got == code and err.startswith("error: ") and "Traceback" not in err, err
+    assert not (out / "log.csv").exists() and not list(out.glob("params_*"))
+
+
+@pytest.mark.parametrize("kind", ["config", "grouping", "scenario", "params"])
+def test_too_deeply_nested_input_file_stops_the_run(log_path, tmp_path, kind):
+    path = tmp_path / f"{kind}.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    if kind == "scenario":
+        argv = ["simulate", "--input", str(path)]
+    elif kind == "params":
+        argv = ["classify", "--params", str(path)]
+    else:
+        argv = ["fit", "--input", str(log_path), f"--{kind}", str(path)]
+    code, err = _run([*argv, "--out", str(tmp_path / "o")])
+    assert code == (2 if kind in ("config", "grouping") else 1) and err.startswith("error: "), err
 
 
 def _module_conflict_log(path: Path) -> None:
@@ -781,3 +850,57 @@ def test_fuzzed_logs_exit_cleanly_and_account_for_every_row(rows, fmt, careful):
             if rejected[command]:
                 assert code == 1
         assert rejected["metrics"] == rejected["fit"] == rejected["pipeline"] == rejected["validate"]
+
+
+# fuzzed JSON input files: a valid config, grouping or scenario with one key,
+# perhaps an unknown one, set to a drawn value that is often of the wrong type,
+# null, not finite or out of range
+_FUZZ_KEYS = [
+    (kind, name)
+    for kind, fields in [
+        ("config", cli.CONFIG_FIELDS),
+        ("fit", FIT_FIELDS),
+        ("grouping", cli.GROUPING_FIELDS),
+        ("scenario", SCENARIO_FIELDS),
+        ("behavior", BEHAVIOR_FIELDS),
+        ("item", SCENARIO_ITEM_FIELDS),
+    ]
+    for name in [*(name for name, _, _ in fields), "bogus"]
+]
+_FUZZ_VALUES = [
+    None, True, False, 0, 1, 2, -1, 0.5, 1.5, 10**400, math.nan, math.inf, "", "x", " a ", [], [0.5, 1.0], ["m1"], {},
+    {"i00": "g"},
+]
+
+
+def _fuzz_input(kind: str, key: str, value) -> tuple[str, dict]:
+    """The command and the file of one fuzzed key."""
+    if kind in ("config", "fit"):
+        data = {"fit": {"min_students": 2}}
+        (data["fit"] if kind == "fit" else data)[key] = value
+        return "config", data
+    if kind == "grouping":
+        return "grouping", {"map": {"i00": "one"}, "default_group": "rest", key: value}
+    data = {"n_students": 20, "n_items": 3, "behavior": {"max_attempts": 2, "retry_prob": 0.5}}
+    if kind == "item":
+        data["items"] = [{"item_id": "i0", "a": 1.0, "b": 0.0, key: value}, {"item_id": "i1", "a": 1.5, "b": 0.5}]
+    (data["behavior"] if kind == "behavior" else data)[key] = value
+    return "scenario", data
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_FUZZ_KEYS), st.sampled_from(_FUZZ_VALUES))
+def test_fuzzed_input_files_exit_cleanly(log_path, key, value):
+    kind, data = _fuzz_input(*key, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{kind}.json"
+        path.write_text(json.dumps(data))
+        out = Path(tmp) / "out"
+        if kind == "scenario":
+            argv = ["pipeline", "--input", str(path)]
+        else:
+            argv = ["fit", "--input", str(log_path), f"--{kind}", str(path)]
+        code, err = _run([*argv, "--out", str(out)])
+        assert code in (0, 1, 2) and "Traceback" not in err, err
+        if code == 2:
+            assert err.startswith("error: ")

@@ -13,6 +13,7 @@ from itemlens.irt import (
     DimensionMismatch,
     EmptyGrid,
     EmptyItemSet,
+    FIT_FIELDS,
     FitConfig,
     ItemParameters,
     Quadrature,
@@ -31,7 +32,7 @@ from itemlens.irt import (
 from itemlens import irt
 from itemlens.irt import test_information as total_information
 from itemlens.response import MISSING, ResponseMatrix
-from itemlens.tables import from_json, read_csv, to_json
+from itemlens.tables import from_json, read_csv, record, to_json
 
 from oracles import (
     brute_marginal_ll,
@@ -445,11 +446,11 @@ class TestFitConfig:
 
     def test_dict_round_trip(self):
         c = FitConfig(n_nodes=21, tol=1e-5, min_items=3)
-        assert FitConfig.from_dict(asdict(c)) == c
+        assert record(FIT_FIELDS, FitConfig).load(asdict(c)) == c
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError):
-            FitConfig.from_dict({"n_nodes": 41, "mystery": 1})
+            record(FIT_FIELDS, FitConfig).load({"n_nodes": 41, "mystery": 1})
 
     def test_quadrature_matches_spec(self):
         q = FitConfig(n_nodes=5, node_lo=-2.0, node_hi=2.0).quadrature()

@@ -1,10 +1,14 @@
-"""The README's Library examples run as written."""
+"""The README's Library examples run as written, and its field tables list every JSON input key."""
 
 import json
 import re
 from pathlib import Path
 
+import pytest
+
 from itemlens import cli
+from itemlens.irt import FIT_FIELDS
+from itemlens.simulate import BEHAVIOR_FIELDS, SCENARIO_FIELDS, SCENARIO_ITEM_FIELDS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -34,3 +38,30 @@ def test_library_examples_run(tmp_path, monkeypatch):
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
     assert namespace["report"].rows
+
+
+SCHEMAS = {
+    "config": cli.CONFIG_FIELDS,
+    "fit": FIT_FIELDS,
+    "grouping": cli.GROUPING_FIELDS,
+    "scenario": SCENARIO_FIELDS,
+    "behavior": BEHAVIOR_FIELDS,
+    "item": SCENARIO_ITEM_FIELDS,
+}
+
+
+def _documented_keys(kind: str) -> list[str]:
+    """The first-column keys of the README table headed ``| <kind> key |``."""
+    lines = README.read_text().splitlines()
+    start = lines.index(next(ln for ln in lines if ln.startswith(f"| {kind} key |")))
+    keys = []
+    for line in lines[start + 2 :]:
+        if not line.startswith("|"):
+            break
+        keys.append(re.fullmatch(r"\| `(\w+)` \|.*", line).group(1))
+    return keys
+
+
+@pytest.mark.parametrize("kind", sorted(SCHEMAS))
+def test_every_schema_field_is_documented(kind):
+    assert _documented_keys(kind) == [name for name, _, _ in SCHEMAS[kind]]

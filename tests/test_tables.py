@@ -5,7 +5,7 @@ from itemlens.irt import PARAMS, ItemParameters
 from itemlens.metrics import METRICS, Band, ExerciseMetrics
 from itemlens.tables import from_json, read_csv, read_rows, to_json, write_csv
 
-finite = st.floats(allow_nan=False)
+finite = st.floats(allow_nan=False, allow_infinity=False)
 # four-decimal values: metrics CSV keeps four decimals, so only these survive it exactly
 four_decimals = st.integers(min_value=0, max_value=10_000).map(lambda k: k / 10_000)
 
