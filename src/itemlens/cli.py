@@ -61,7 +61,6 @@ class RunConfig:
 
     threshold: float = DEFAULT_THRESHOLD
     grouping: str | None = None  # the grouping file's path
-    default_group: str | None = None
     table2_compat: bool = False
     seed: int | None = None
     format: str = "csv"
@@ -78,7 +77,6 @@ class RunConfig:
 CONFIG_FIELDS = [
     ("threshold", optional(FLOAT), None),
     ("grouping", optional(TEXT), None),
-    ("default_group", optional(TEXT), None),
     ("table2_compat", optional(BOOL), None),
     ("seed", optional(INT), None),
     ("format", optional(TEXT), None),
@@ -200,8 +198,9 @@ def _fit(run: Run, summaries) -> list[ItemParameters]:
     """Fit every group and write its files; the fitted items of all groups, in group order."""
     cfg = run.cfg
     grouping = _load_file(cfg.grouping, GROUPING_FIELDS, "grouping") if cfg.grouping else {"map": None}
-    default = grouping.get("default_group") if cfg.default_group is None else cfg.default_group
-    build = build_matrices(summaries, grouping=grouping["map"], threshold=cfg.threshold, default_group=default)
+    build = build_matrices(
+        summaries, grouping=grouping["map"], threshold=cfg.threshold, default_group=grouping.get("default_group")
+    )
     by_slug: dict[str, str] = {}
     for matrix in build.matrices:
         slug = _slug(matrix.group_id)

@@ -6,7 +6,7 @@ one object per line carrying the same field names. ``kind`` is ``attempt`` or
 ``hint``, ``correct`` is ``true``/``false`` for attempts and empty (CSV) or
 absent/null (JSONL) for hints, and ``timestamp`` is RFC 3339. Both formats
 ignore whitespace around a field and the case of ``kind``; in JSONL every
-field but ``correct`` must be a string or an integer.
+field but ``correct`` is an id, read by ``tables.ID``: a string or an integer.
 
 Each row rule is stated once: :class:`InteractionEvent` rejects an event no
 log may hold, a decoder per format rejects malformed cells, and one loop
@@ -26,7 +26,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .tables import read_rows, write_rows
+from .tables import ID, read_rows, write_rows
 
 CSV_HEADER = ["student_id", "exercise_id", "module_id", "timestamp", "kind", "correct"]
 _TEXT_FIELDS = CSV_HEADER[:5]  # every field but correct
@@ -208,6 +208,9 @@ def _decode_jsonl(text: str) -> Iterator[tuple[int, list[str], bool | None] | Ro
         except json.JSONDecodeError as exc:
             yield RowProblem(line, f"invalid JSON: {exc.msg}")
             continue
+        except (ValueError, RecursionError) as exc:  # an integer too long to convert, or arrays nested too deep
+            yield RowProblem(line, f"invalid JSON: {exc}")
+            continue
         if not isinstance(obj, dict):
             yield RowProblem(line, "line is not a JSON object")
             continue
@@ -215,17 +218,18 @@ def _decode_jsonl(text: str) -> Iterator[tuple[int, list[str], bool | None] | Ro
         if missing:
             yield RowProblem(line, f"missing fields: {', '.join(missing)}")
             continue
-        # a field's text is a string or an integer; null, booleans, floats,
-        # objects and arrays have no single text form
-        bad = [k for k in _TEXT_FIELDS if isinstance(obj[k], bool) or not isinstance(obj[k], (str, int))]
-        if bad:
-            yield RowProblem(line, f"{bad[0]} must be a string or an integer, got {json.dumps(obj[bad[0]])}")
+        fields: list[str] = []
+        try:
+            for name in _TEXT_FIELDS:
+                fields.append(ID.load(obj[name]))
+        except ValueError as exc:
+            yield RowProblem(line, f"{name}: {exc}")
             continue
         correct = obj.get("correct")
         if correct is not None and not isinstance(correct, bool):
             yield RowProblem(line, f"correct must be boolean or null, got {correct!r}")
             continue
-        yield line, [str(obj[k]) for k in _TEXT_FIELDS], correct
+        yield line, fields, correct
 
 
 def parse_event_log(stream: bytes | str | io.IOBase, fmt: str = "csv") -> ParsedLog:
@@ -348,19 +352,3 @@ def events_to_csv(events: Iterable[InteractionEvent]) -> str:
     )
     return write_rows(CSV_HEADER, rows)
 
-
-def events_to_jsonl(events: Iterable[InteractionEvent]) -> str:
-    lines = []
-    for ev in events:
-        obj = {
-            "student_id": ev.student_id,
-            "exercise_id": ev.exercise_id,
-            "module_id": ev.module_id,
-            "timestamp": format_timestamp(ev.timestamp),
-            "kind": ev.kind.value,
-            "correct": ev.correct,
-        }
-        if ev.correct is None:
-            del obj["correct"]
-        lines.append(json.dumps(obj, sort_keys=True))
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -167,16 +167,6 @@ def item_information(a: float, b: float, theta):
     return (float(a) ** 2) * p * (1.0 - p)
 
 
-def test_information(items: Sequence[ItemParameters], theta):
-    """Sum of the items' information at theta."""
-    if not items:
-        raise EmptyItemSet("no items")
-    total = item_information(items[0].a, items[0].b, theta)
-    for it in items[1:]:
-        total = total + item_information(it.a, it.b, theta)
-    return total
-
-
 def difficult_at_average(item: ItemParameters) -> bool:
     """True when an average-ability student is below even odds of scoring 1."""
     return icc_prob(item.a, item.b, 0.0) < 0.5

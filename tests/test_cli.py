@@ -113,6 +113,24 @@ def test_rejected_rows_fail_the_run(tmp_path, capsys, command):
     assert "line 3: correct must be true/false/empty, got 'maybe'" in capsys.readouterr().err
 
 
+_GOOD_ROW = {"student_id": "s", "exercise_id": "e", "module_id": "m", "timestamp": "2026-01-01T00:00Z", "kind": "hint"}
+_UNDECODABLE_ROWS = {  # json.loads raises a ValueError or RecursionError that is not a JSONDecodeError
+    "integer_over_4300_digits": '{"student_id": ' + "1" * 5001 + "}",
+    "arrays_nested_10000_deep": "[" * 10_000 + "]" * 10_000,
+}
+
+
+@pytest.mark.parametrize("row", _UNDECODABLE_ROWS.values(), ids=_UNDECODABLE_ROWS.keys())
+def test_jsonl_row_json_cannot_decode_is_a_row_problem(tmp_path, row):
+    log = tmp_path / "log.jsonl"
+    log.write_text(json.dumps(_GOOD_ROW) + "\n" + row + "\n")
+    out = tmp_path / "v"
+    code, err = _run(["validate", "--input", str(log), "--out", str(out)])
+    assert code == 1 and err.startswith("line 2: invalid JSON: ") and "Traceback" not in err, err
+    report = json.loads((out / "validation_report.json").read_text())
+    assert report["n_events"] == 1 and [v.split(": ")[0] for v in report["violations"]] == ["line 2"]
+
+
 ODD_EXERCISES = ["ex,a", 'ex "q"', "ex b", "plain"]
 
 

@@ -30,7 +30,6 @@ from itemlens.irt import (
     sample_curves,
 )
 from itemlens import irt
-from itemlens.irt import test_information as total_information
 from itemlens.response import MISSING, ResponseMatrix
 from itemlens.tables import from_json, read_csv, record, to_json
 
@@ -135,13 +134,15 @@ class TestItemInformation:
 
 
 class TestTestInformation:
+    """The test information function is the tif column of sample_curves."""
+
     def test_single_item_identity(self):
         items = [ItemParameters("x", 1.3, 0.2)]
-        assert total_information(items, 0.7) == item_information(1.3, 0.2, 0.7)
+        assert sample_curves(items, np.array([0.7])).tif[0] == item_information(1.3, 0.2, 0.7)
 
     def test_two_copies(self):
         items = [ItemParameters("x", 1.0, 0.0), ItemParameters("y", 1.0, 0.0)]
-        assert total_information(items, 0.0) == 0.5
+        assert sample_curves(items, np.array([0.0])).tif[0] == 0.5
 
     def test_matches_independent_sum(self):
         items = [
@@ -150,11 +151,11 @@ class TestTestInformation:
             ItemParameters("z", 2.1, 0.3),
         ]
         expected = sum(item_information(p.a, p.b, 0.9) for p in items)
-        assert total_information(items, 0.9) == pytest.approx(expected, abs=1e-12)
+        assert sample_curves(items, np.array([0.9])).tif[0] == pytest.approx(expected, abs=1e-12)
 
     def test_empty_raises(self):
         with pytest.raises(EmptyItemSet):
-            total_information([], 0.0)
+            sample_curves([], np.array([0.0]))
 
 
 class TestDifficultAtAverage:

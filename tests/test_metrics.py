@@ -9,17 +9,8 @@ from itemlens.metrics import (
     POOLING_DIVERGENCE_LIMIT,
     Band,
     ExerciseMetrics,
-    NoActivity,
-    NoAttempts,
-    NoParticipants,
     OutOfRange,
-    UndefinedRatio,
     build_metrics_table,
-    correct_ratio,
-    difficulty_level,
-    exercise_metrics,
-    hint_ratio,
-    incorrect_ratio,
     quartile_band,
 )
 from itemlens.tables import from_json, read_csv
@@ -37,86 +28,95 @@ def _summary(sid="s1", eid="e1", attempts=0, correct=0, hints=0, module="m1"):
     )
 
 
+def _row(*summaries) -> ExerciseMetrics:
+    (row,) = build_metrics_table(summaries).rows
+    return row
+
+
 class TestCorrectRatio:
+    """dl is the mean of 1 - r, where r is a student's correct ratio."""
+
     def test_six_of_nine(self):
-        assert correct_ratio(_summary(attempts=9, correct=6)) == pytest.approx(6 / 9)
+        summary = _summary(attempts=9, correct=6)
+        assert summary.r == pytest.approx(6 / 9)
+        assert _row(summary).dl == float(1 - Fraction(6, 9))
 
     def test_no_attempts_is_undefined(self):
-        with pytest.raises(UndefinedRatio):
-            correct_ratio(_summary(hints=2))
+        assert _summary(hints=2).r is None
+        row = _row(_summary("s1", attempts=1, correct=1), _summary("s2", hints=2))
+        assert row.n_students == 1 and row.dl == 0.0
 
 
 class TestDifficultyLevel:
     def test_mean_incorrectness(self):
-        group = [
+        row = _row(
             _summary("s1", attempts=2, correct=2),  # r = 1
             _summary("s2", attempts=2, correct=1),  # r = 0.5
-        ]
-        assert difficulty_level(group) == pytest.approx(0.25)
+        )
+        assert row.dl == pytest.approx(0.25)
 
     def test_skips_hint_only_students(self):
-        group = [_summary("s1", attempts=1, correct=0), _summary("s2", hints=3)]
-        assert difficulty_level(group) == 1.0
+        assert _row(_summary("s1", attempts=1, correct=0), _summary("s2", hints=3)).dl == 1.0
 
     def test_no_participants(self):
-        with pytest.raises(NoParticipants):
-            difficulty_level([_summary(hints=1)])
+        row = _row(_summary(hints=1))
+        assert row.n_students == 0 and row.dl is None and row.band is None
 
     def test_exact_rational_arithmetic(self):
         # thirds and sevenths: float summation would drift, Fractions do not
-        group = [
+        row = _row(
             _summary("s1", attempts=3, correct=1),
             _summary("s2", attempts=7, correct=2),
             _summary("s3", attempts=21, correct=13),
-        ]
+        )
         expected = Fraction(2, 3) + Fraction(5, 7) + Fraction(8, 21)
-        assert difficulty_level(group) == float(expected / 3)
+        assert row.dl == float(expected / 3)
 
 
 class TestHintRatio:
     def test_two_hints_one_attempt(self):
-        assert hint_ratio([_summary(attempts=1, correct=1, hints=2)]) == pytest.approx(2 / 3)
+        assert _row(_summary(attempts=1, correct=1, hints=2)).hr == pytest.approx(2 / 3)
 
     def test_pooled_sums_counts_first(self):
-        group = [
+        row = _row(
             _summary("s1", attempts=1, correct=0, hints=1),
             _summary("s2", attempts=9, correct=5, hints=0),
-        ]
-        assert hint_ratio(group) == 1 / 11
+        )
+        assert row.hr == 1 / 11
 
     def test_per_student_averages_ratios(self):
-        group = [
-            _summary("s1", attempts=1, correct=0, hints=1),
-            _summary("s2", attempts=9, correct=5, hints=0),
-        ]
-        assert hint_ratio(group, per_student=True) == pytest.approx(0.25)
+        # per student: (1/2 + 0/9) / 2 = 0.25 against the pooled 1/11
+        table = build_metrics_table(
+            [_summary("s1", attempts=1, correct=0, hints=1), _summary("s2", attempts=9, correct=5, hints=0)]
+        )
+        assert "e1: hr pooling choice matters (pooled vs per-student differ by 0.1591)" in table.warnings
 
     def test_no_activity(self):
-        with pytest.raises(NoActivity):
-            hint_ratio([_summary()])
+        # a summary with neither attempts nor hints adds nothing
+        assert build_metrics_table([_summary()]).rows == []
+        assert _row(_summary("s1", attempts=2, correct=1), _summary("s2")).n_students == 1
 
     def test_zero_hints(self):
-        assert hint_ratio([_summary(attempts=4, correct=2)]) == 0.0
+        assert _row(_summary(attempts=4, correct=2)).hr == 0.0
 
 
 class TestIncorrectRatio:
     def test_pooled(self):
-        group = [
+        row = _row(
             _summary("s1", attempts=4, correct=1),
             _summary("s2", attempts=2, correct=2),
-        ]
-        assert incorrect_ratio(group) == 3 / 6
+        )
+        assert row.ir == 3 / 6
 
     def test_per_student(self):
-        group = [
-            _summary("s1", attempts=4, correct=1),
-            _summary("s2", attempts=2, correct=2),
-        ]
-        assert incorrect_ratio(group, per_student=True) == pytest.approx(0.375)
+        # the per-student ir is dl: (3/4 + 0/2) / 2 = 0.375 against the pooled 0.5
+        table = build_metrics_table([_summary("s1", attempts=4, correct=1), _summary("s2", attempts=2, correct=2)])
+        assert table.rows[0].dl == 0.375
+        assert table.warnings == ["e1: ir pooling choice matters (pooled vs per-student differ by 0.1250)"]
 
     def test_no_attempts(self):
-        with pytest.raises(NoAttempts):
-            incorrect_ratio([_summary(hints=2)])
+        row = _row(_summary(hints=2))
+        assert row.ir is None and row.hr == 1.0
 
 
 class TestQuartileBand:
@@ -162,11 +162,10 @@ class TestQuartileBand:
 
 class TestExerciseMetrics:
     def test_full_row(self):
-        group = [
+        row = _row(
             _summary("s1", attempts=2, correct=1, hints=1),
             _summary("s2", attempts=3, correct=3),
-        ]
-        row = exercise_metrics("e1", group)
+        )
         assert row.n_students == 2
         assert row.dl == pytest.approx(0.25)
         assert row.hr == pytest.approx(1 / 6)
@@ -174,14 +173,14 @@ class TestExerciseMetrics:
         assert row.band is Band.Q3
 
     def test_hint_only_exercise(self):
-        row = exercise_metrics("e1", [_summary(hints=4)])
+        row = _row(_summary(hints=4))
         assert row.n_students == 0
         assert row.dl is None and row.ir is None and row.band is None
         assert row.hr == 1.0
 
     def test_module_conflict_minimum(self):
         group = [_summary("s1", attempts=1, correct=1, module="mB"), _summary("s2", attempts=1, correct=1, module="mA")]
-        assert exercise_metrics("e1", group).module_id == "mA"
+        assert _row(*group).module_id == "mA"
 
 
 class TestMetricsTable:
@@ -264,19 +263,14 @@ def test_metrics_match_rational_recount(raw):
         wrong = sum(s.n_wrong for s in group)
         # pooled hr and ir: single integer divisions
         hr = hints / (hints + total)
-        assert hint_ratio(group) == hr
         if not attempting:
             rows.append(ExerciseMetrics(eid, "m1", 0, None, hr, None, None))
             warnings.append(f"{eid}: hint-only exercise, dl/ir undefined")
             continue
         ir = wrong / total
-        assert incorrect_ratio(group) == ir
         # dl, per-student ir and per-student hr: one exact rational per student, compared bit for bit
         dl = float(sum(Fraction(s.n_wrong, s.n_attempts) for s in attempting) / len(attempting))
-        assert difficulty_level(group) == dl
-        assert incorrect_ratio(group, per_student=True) == dl
         hr_each = float(sum(Fraction(s.n_hints, s.n_hints + s.n_attempts) for s in group) / len(group))
-        assert hint_ratio(group, per_student=True) == hr_each
         rows.append(ExerciseMetrics(eid, "m1", len(attempting), dl, hr, ir, quartile_band(dl)))
         for name, pooled, per_student in (("hr", hr, hr_each), ("ir", ir, dl)):
             gap = abs(per_student - pooled)

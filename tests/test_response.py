@@ -193,3 +193,47 @@ class TestBuildMatrices:
         assert m.student_ids == ["s1", "s2"]
         assert m.item_ids == ["e1", "e2"]
         assert m.cells.tolist() == [[0, MISSING], [1, 1]]
+
+
+_GROUPS = ["g0", "g1", "rest"]
+_RAW_SUMMARY = st.tuples(
+    st.sampled_from(["s0", "s1", "s10", "s2", "s 3"]),  # student
+    st.sampled_from(["e0", "e1", "e10", "e2", "e,3"]),  # exercise
+    st.sampled_from(["m1", "m0", "m 2"]),  # module
+    st.integers(min_value=0, max_value=5),  # attempts
+    st.integers(min_value=0, max_value=5),  # correct (clamped)
+    st.integers(min_value=0, max_value=2),  # hints
+)
+
+
+@given(
+    raw=st.lists(_RAW_SUMMARY, max_size=25, unique_by=lambda t: t[:2]),
+    grouping=st.none() | st.dictionaries(st.sampled_from(["e0", "e1", "e10", "e2", "e,3"]), st.sampled_from(_GROUPS)),
+    default_group=st.none() | st.sampled_from(_GROUPS),
+    threshold=st.sampled_from([0.5, 0.6, 0.75, 1.0]) | st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+)
+def test_matrices_match_recount(raw, grouping, default_group, threshold):
+    raw = [(s, e, m, a, min(c, a), h) for s, e, m, a, c, h in raw if a or h]  # aggregate never makes an empty pair
+    summaries = [_summary(s, e, attempts=a, correct=c, hints=h, module=m) for s, e, m, a, c, h in raw]
+    # with no map each pair's module is its group
+    group_of_pair = {(s, e): m if grouping is None else grouping.get(e, default_group) for s, e, m, *_ in raw}
+    if None in group_of_pair.values():
+        with pytest.raises(UnmappedExercise):
+            build_matrices(summaries, grouping=grouping, threshold=threshold, default_group=default_group)
+        return
+    expected, skipped = [], []
+    for group in sorted(set(group_of_pair.values())):
+        pairs = [t for t in raw if group_of_pair[t[0], t[1]] == group]
+        students = sorted({s for s, _, _, a, _, _ in pairs if a})
+        items = sorted({e for _, e, *_ in pairs})
+        if not students:
+            skipped.append(group)
+            continue
+        score = {(s, e): 1 if c / a >= threshold else 0 for s, e, _, a, c, _ in pairs if a}
+        cells = [[score.get((s, e), MISSING) for e in items] for s in students]  # a hint-only pair is MISSING
+        expected.append((group, students, items, cells))
+    result = build_matrices(summaries, grouping=grouping, threshold=threshold, default_group=default_group)
+    got = [(m.group_id, m.student_ids, m.item_ids, m.cells.tolist()) for m in result.matrices]
+    assert got == expected
+    assert result.skipped_groups == skipped
+    assert result.warnings == [f"group {g!r} has no observed responses; skipped" for g in skipped]
