@@ -26,10 +26,11 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .tables import ID, read_rows, write_rows
+from .tables import BOOL, ID, optional, read_rows, write_rows
 
 CSV_HEADER = ["student_id", "exercise_id", "module_id", "timestamp", "kind", "correct"]
 _TEXT_FIELDS = CSV_HEADER[:5]  # every field but correct
+_CORRECT = optional(BOOL)  # a JSONL row's correct: a boolean, null or absent
 
 
 class UnreadableStream(ValueError):
@@ -225,9 +226,10 @@ def _decode_jsonl(text: str) -> Iterator[tuple[int, list[str], bool | None] | Ro
         except ValueError as exc:
             yield RowProblem(line, f"{name}: {exc}")
             continue
-        correct = obj.get("correct")
-        if correct is not None and not isinstance(correct, bool):
-            yield RowProblem(line, f"correct must be boolean or null, got {correct!r}")
+        try:
+            correct = _CORRECT.load(obj.get("correct"))
+        except ValueError as exc:
+            yield RowProblem(line, f"correct: {exc}")
             continue
         yield line, fields, correct
 

@@ -8,9 +8,12 @@ ability draws go through the inverse normal CDF applied to open-interval
 uniforms (53-bit integers mapped into (0, 1)), avoiding platform-dependent
 rejection samplers.
 
-Correctness draws live on their own stream, separate from behavior draws
-(hints, retries). With max_attempts = 1 the first correctness draw is the
-only one, so generate_responses and generate_event_log agree cell for cell.
+One walk simulates each pair once. Correctness draws live on their own
+stream, separate from behavior draws (hints, retries) and from the
+missingness draw. The walk emits the pair's events, and its matrix cell is
+the pair's first attempt, blank when the missingness draw falls under
+``missing_rate``; the log keeps every pair's events. generate_event_log and
+generate_responses are two views of that walk.
 """
 
 from __future__ import annotations
@@ -126,29 +129,8 @@ def generate_responses(
     missing_rate: float = 0.0,
     group_id: str = "sim",
 ) -> ResponseMatrix:
-    """Bernoulli(ICC) scores per (student, item), optionally thinned.
-
-    Cell (s, i) uses the first draw of the pair's correctness stream, which
-    is also the first attempt's draw in generate_event_log.
-    """
-    _check_missing_rate(missing_rate)
-    n_s, n_i = len(cohort), len(items)
-    cells = np.full((n_s, n_i), MISSING, dtype=np.int8)
-    for sidx, (_, theta) in enumerate(cohort):
-        probs = [icc_prob(it.a, it.b, theta) for it in items]
-        for iidx in range(n_i):
-            if missing_rate > 0.0:
-                u_miss = _open_uniform(_pair_rng(seed, _TAG_MISSING, sidx, iidx))
-                if u_miss < missing_rate:
-                    continue
-            u = _open_uniform(_pair_rng(seed, _TAG_CORRECT, sidx, iidx))
-            cells[sidx, iidx] = 1 if u < probs[iidx] else 0
-    return ResponseMatrix(
-        group_id=group_id,
-        student_ids=[sid for sid, _ in cohort],
-        item_ids=[it.item_id for it in items],
-        cells=cells,
-    )
+    """Bernoulli(ICC) scores per (student, item), optionally thinned: the matrix of a one-attempt walk."""
+    return _walk(cohort, items, BehaviorSpec(), seed, {}, missing_rate, group_id)[1]
 
 
 @dataclass
@@ -165,54 +147,56 @@ def generate_event_log(
     seed: int,
     modules: dict[str, str] | None = None,
 ) -> SimulatedLog:
-    """Emit a full interaction log.
+    """Emit a full interaction log: the events of the walk."""
+    return _walk(cohort, items, behavior, seed, modules or {}, 0.0)[0]
 
-    Events come out in canonical order (student, item, sequence) with
-    strictly increasing timestamps on a one-minute grid, so the log reads
-    back through :func:`itemlens.events.parse_event_log` unchanged.
+
+def _walk(
+    cohort: Sequence[tuple[str, float]],
+    items: Sequence[ItemParameters],
+    behavior: BehaviorSpec,
+    seed: int,
+    modules: dict[str, str],
+    missing_rate: float,
+    group_id: str = "sim",
+) -> tuple[SimulatedLog, ResponseMatrix]:
+    """Simulate each (student, item) pair once: its events, and its first attempt as its matrix cell.
+
+    Pairs go in canonical order (student, item id), one minute per event, so
+    the log reads back through :func:`itemlens.events.parse_event_log`
+    unchanged. A pair whose missingness draw falls under ``missing_rate`` is
+    blank in the matrix; its events stay in the log.
     """
-    modules = modules or {}
-    base = parse_timestamp(_BASE_TIME)
+    _check_missing_rate(missing_rate)
+    thetas = np.array([theta for _, theta in cohort], dtype=float)[:, None]
+    probs = icc_prob(np.array([it.a for it in items]), np.array([it.b for it in items]), thetas).tolist()
+    cells = np.full((len(cohort), len(items)), MISSING, dtype=np.int8)
+    stamp = parse_timestamp(_BASE_TIME)
     events: list[InteractionEvent] = []
     item_order = sorted(range(len(items)), key=lambda j: items[j].item_id)
-    tick = 0
-    for sidx, (sid, theta) in enumerate(cohort):
+    for sidx, (sid, _) in enumerate(cohort):
         for iidx in item_order:
-            it = items[iidx]
-            module = modules.get(it.item_id, "sim")
-            p = icc_prob(it.a, it.b, theta)
+            item_id = items[iidx].item_id
+            module = modules.get(item_id, "sim")
+            observed = missing_rate == 0.0 or _open_uniform(_pair_rng(seed, _TAG_MISSING, sidx, iidx)) >= missing_rate
             rng_c = _pair_rng(seed, _TAG_CORRECT, sidx, iidx)
             rng_b = _pair_rng(seed, _TAG_BEHAVIOR, sidx, iidx)
             for attempt in range(behavior.max_attempts):
                 if behavior.hint_propensity > 0.0 and _open_uniform(rng_b) < behavior.hint_propensity:
-                    events.append(
-                        InteractionEvent(
-                            student_id=sid,
-                            exercise_id=it.item_id,
-                            module_id=module,
-                            timestamp=base + tick * _ONE_MINUTE,
-                            kind=EventKind.HINT,
-                        )
-                    )
-                    tick += 1
-                correct = bool(_open_uniform(rng_c) < p)
-                events.append(
-                    InteractionEvent(
-                        student_id=sid,
-                        exercise_id=it.item_id,
-                        module_id=module,
-                        timestamp=base + tick * _ONE_MINUTE,
-                        kind=EventKind.ATTEMPT,
-                        correct=correct,
-                    )
-                )
-                tick += 1
+                    events.append(InteractionEvent(sid, item_id, module, stamp, EventKind.HINT))
+                    stamp += _ONE_MINUTE
+                correct = bool(_open_uniform(rng_c) < probs[sidx][iidx])
+                if attempt == 0 and observed:
+                    cells[sidx, iidx] = correct
+                events.append(InteractionEvent(sid, item_id, module, stamp, EventKind.ATTEMPT, correct))
+                stamp += _ONE_MINUTE
                 if correct or attempt + 1 >= behavior.max_attempts:
                     break
                 if behavior.retry_prob <= 0.0 or _open_uniform(rng_b) >= behavior.retry_prob:
                     break
-            tick += 1
-    return SimulatedLog(events=events)
+            stamp += _ONE_MINUTE
+    matrix = ResponseMatrix(group_id, [sid for sid, _ in cohort], [it.item_id for it in items], cells)
+    return SimulatedLog(events), matrix
 
 
 @dataclass(frozen=True)
@@ -366,8 +350,9 @@ class SimulationOutput:
 
 
 def run_scenario(scenario: Scenario) -> SimulationOutput:
-    """Sample the cohort, then emit both the event log and the direct matrix."""
+    """Sample the cohort, then walk it once for both the event log and the matrix."""
     cohort = sample_cohort(scenario.cohort)
-    log = generate_event_log(cohort, scenario.items, scenario.behavior, scenario.seed, scenario.modules)
-    matrix = generate_responses(cohort, scenario.items, scenario.seed, missing_rate=scenario.missing_rate)
+    log, matrix = _walk(
+        cohort, scenario.items, scenario.behavior, scenario.seed, scenario.modules, scenario.missing_rate
+    )
     return SimulationOutput(scenario=scenario, cohort=cohort, log=log, matrix=matrix)

@@ -103,3 +103,7 @@ def test_ops_pipeline_matches_the_cli(bench_inputs, tmp_path, source):
     assert proc.returncode == 0, proc.stderr
     assert check.same_files(cli_out, ops_out, "metrics.csv") == []
     assert check.same_files(cli_out, ops_out, "params_*.csv") == []
+    if source == "scenario":
+        # ops.py simulates through generate_event_log and generate_responses, the CLI through run_scenario
+        for name in ("log.csv", "matrix.csv", "truth_params.csv", "truth_abilities.csv"):
+            assert check.same_files(cli_out, ops_out, name) == []

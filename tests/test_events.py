@@ -214,6 +214,13 @@ class TestParseJsonl:
             assert [p.line for p in parsed.problems] == [2]
             assert parsed.problems[0].reason == f"student_id: expected a string or an integer, got {json.dumps(value)}"
 
+    @pytest.mark.parametrize("value", ["yes", 1, {"ok": True}])
+    def test_correct_must_be_boolean_or_null(self, value):
+        row = {"student_id": "s1", "exercise_id": "e1", "module_id": "m1", "timestamp": "2020-09-01T10:00:00Z"}
+        parsed = parse_event_log(json.dumps({**row, "kind": "attempt", "correct": value}), fmt="jsonl")
+        assert not parsed.events
+        assert [p.reason for p in parsed.problems] == [f"correct: expected a boolean, got {json.dumps(value)}"]
+
 
 class TestTimestamps:
     def test_z_suffix_and_offset_agree(self):

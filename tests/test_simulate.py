@@ -1,3 +1,4 @@
+import hashlib
 import json
 import statistics
 from collections import Counter
@@ -5,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from itemlens import cli
 from itemlens.events import EventKind, aggregate
 from itemlens.irt import ItemParameters
 from itemlens.response import MISSING, build_matrices
@@ -357,6 +359,30 @@ class TestLoadScenario:
         path.write_text("{not json")
         with pytest.raises(InvalidScenario):
             load_scenario(path)
+
+
+class TestGoldenBytes:
+    # two modules, hints, retries and a missing share: every draw stream the simulator takes
+    SCENARIO = {
+        "n_students": 30,
+        "n_items": 6,
+        "seed": 11,
+        "module_ids": ["ch1", "ch2"],
+        "behavior": {"max_attempts": 3, "retry_prob": 0.7, "hint_propensity": 0.4},
+        "missing_rate": 0.3,
+    }
+    # a change to these digests changes simulated bytes: say so in CHANGES.md
+    DIGESTS = {
+        "log.csv": "d40510ac617c39b7ef076481bcf8f32a6e0c5b6003438ea17e4e2785e2d4ee17",
+        "matrix.csv": "47dc236131b4bd357d1e8efc02045fb381545f6af0a05ee4fbb0d4e39c58e8c0",
+    }
+
+    def test_simulate_writes_the_pinned_bytes(self, tmp_path):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(self.SCENARIO))
+        assert cli.main(["simulate", "--input", str(scenario), "--out", str(tmp_path / "out")]) == 0
+        digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() for name in self.DIGESTS}
+        assert digests == self.DIGESTS
 
 
 class TestRunScenario:
