@@ -15,6 +15,8 @@ with per-item stopping and step halving (Bock & Aitkin 1981). Standard errors
 come from the observed information, whose 2x2 block for every item is a sum
 of column reductions of (S, K) x (K, I) products (Louis 1982; derivation in
 :func:`_item_observed_information`). No step loops over items in Python.
+Sums over students run in fixed blocks of ``STUDENT_BLOCK`` students, so a
+fit gives the same bytes at any BLAS thread count.
 Negative discrimination is permitted throughout: defective items genuinely
 fit with a < 0 and the estimator must be able to say so.
 
@@ -33,7 +35,7 @@ import numpy as np
 from .response import MISSING, ResponseMatrix
 from .tables import BOOL, FLOAT, TEXT, Table, number_fields, optional, write_csv, write_rows
 
-SE_BLOCK_ROWS = 1024  # students per block of the standard errors' S x I score matrices
+STUDENT_BLOCK = 256  # students per block of every sum over students
 
 
 class EmptyItemSet(ValueError):
@@ -262,32 +264,46 @@ def _masks(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (cells == 1).astype(np.float64), (cells != MISSING).astype(np.float64)
 
 
-def _response_loglik_by_node(
-    ones: np.ndarray, obs: np.ndarray, alpha: np.ndarray, beta: np.ndarray, nodes: np.ndarray
-) -> np.ndarray:
-    """lam[s, k] = log-likelihood of student s's observed scores at node k.
+def _estep(ones: np.ndarray, obs: np.ndarray, alpha: np.ndarray, beta: np.ndarray, quad: Quadrature):
+    """Per-student log marginal (S,) and posterior node weights (S, K).
 
-    ``ones`` and ``obs`` are the masks of :func:`_masks`. Since
-    log P = log Q + z, lam = obs·log Qᵀ + ones·zᵀ needs no mask of the wrong
-    cells.
+    ``ones`` and ``obs`` are the masks of :func:`_masks`. The log-likelihood
+    of student s's observed scores at node k is obs·log Qᵀ + ones·zᵀ, since
+    log P = log Q + z; it needs no mask of the wrong cells. Weights below the
+    smallest normal double (~2.2e-308) are set to 0: that moves no fitted
+    value, and subnormal operands slow the (S, K) products severalfold.
     """
-    z = _node_logits(alpha, beta, nodes)
+    z = _node_logits(alpha, beta, quad.nodes)
     log_q = -np.logaddexp(0.0, z)
-    return obs @ log_q.T + ones @ z.T
-
-
-def _posteriors(lam: np.ndarray, weights: np.ndarray):
-    """Per-student log marginal and posterior node weights.
-
-    Weights below the smallest normal double (~2.2e-308) are set to 0: that
-    moves no fitted value, and subnormal operands slow the (S, K) products
-    severalfold.
-    """
-    shifted = lam + np.log(weights)[None, :]
+    shifted = obs @ log_q.T + ones @ z.T + np.log(quad.weights)[None, :]
     log_marg = _logsumexp(shifted, axis=1)
     post = np.exp(shifted - log_marg[:, None])
     post[post < np.finfo(np.float64).tiny] = 0.0
     return log_marg, post
+
+
+def _node_counts(ones: np.ndarray, obs: np.ndarray, post: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Expected correct and observed counts per item and node, onesᵀ·post and obsᵀ·post, each (I, K).
+
+    Blocks are added in block order: the bits do not depend on how BLAS splits a product over threads.
+    """
+    r = np.zeros((ones.shape[1], post.shape[1]))
+    n = np.zeros_like(r)
+    for lo in range(0, post.shape[0], STUDENT_BLOCK):
+        g = post[lo : lo + STUDENT_BLOCK]
+        r += ones[lo : lo + STUDENT_BLOCK].T @ g
+        n += obs[lo : lo + STUDENT_BLOCK].T @ g
+    return r, n
+
+
+def _abilities(student_ids: Sequence[str], post: np.ndarray, nodes: np.ndarray, seen: np.ndarray):
+    """Posterior mean and SD per student; one not ``seen`` on a calibrated item gets the prior, (0, 1) exactly."""
+    theta = post @ nodes
+    se = np.sqrt(np.clip(post @ (nodes * nodes) - theta * theta, 1e-16, None))
+    return [
+        AbilityEstimate(sid, t, s) if ok else AbilityEstimate(sid, 0.0, 1.0)
+        for sid, t, s, ok in zip(student_ids, theta.tolist(), se.tolist(), seen.tolist())
+    ]
 
 
 def marginal_log_likelihood(
@@ -304,8 +320,7 @@ def marginal_log_likelihood(
     cols, alpha, beta = _align(matrix, params)
     if matrix.n_students == 0 or cols.size == 0:
         return 0.0
-    lam = _response_loglik_by_node(*_masks(matrix.cells[:, cols]), alpha, beta, quad.nodes)
-    log_marg, _ = _posteriors(lam, quad.weights)
+    log_marg, _ = _estep(*_masks(matrix.cells[:, cols]), alpha, beta, quad)
     return float(log_marg.sum())
 
 
@@ -325,14 +340,11 @@ def marginal_loglik_gradient(
     if matrix.n_students == 0 or cols.size == 0:
         return grad
     ones, obs = _masks(matrix.cells[:, cols])
-    lam = _response_loglik_by_node(ones, obs, alpha, beta, quad.nodes)
-    _, post = _posteriors(lam, quad.weights)
-    p = _sigmoid(_node_logits(alpha, beta, quad.nodes))  # (K, I)
-    r_ki = post.T @ ones
-    n_ki = post.T @ obs
-    resid = r_ki - n_ki * p  # (K, I)
-    g_alpha = resid.sum(axis=0)
-    g_beta = quad.nodes @ resid
+    _, post = _estep(ones, obs, alpha, beta, quad)
+    r, n = _node_counts(ones, obs, post)
+    resid = r - n * _sigmoid(_node_logits(alpha, beta, quad.nodes)).T  # (I, K)
+    g_alpha = resid.sum(axis=1)
+    g_beta = resid @ quad.nodes
     # chain rule from (alpha, beta) = (-a*b, a) back to (a, b)
     a_vec = beta
     b_vec = np.where(beta != 0.0, -alpha / np.where(beta != 0.0, beta, 1.0), 0.0)
@@ -430,15 +442,16 @@ def _item_observed_information(
     dα = X − O∘(G·P) and dβ = X∘m₁ − O∘(G·(θ∘P)) with m₁ = G·θ. Since
     x² = x, each node's curvature g·((x − p)² − p(1 − p)) equals
     g·(1 − 2p)(x − p), so over students it sums to t_r = θʳ·[(1 − 2P)∘(R −
-    N∘P)] with R = Gᵀ·X and N = Gᵀ·O, and the (α, β) Hessian is
-    h = t − Σ_s d·dᵀ (Louis 1982). The S x I score matrices are built
-    ``SE_BLOCK_ROWS`` students at a time. Returns ``(info, ok)``: ``info``
+    N∘P)] with R = Gᵀ·X and N = Gᵀ·O from :func:`_node_counts`, and the
+    (α, β) Hessian is h = t − Σ_s d·dᵀ (Louis 1982). The S x I score matrices
+    are built ``STUDENT_BLOCK`` students at a time. Returns ``(info, ok)``: ``info``
     is (I, 2, 2) and ``ok`` is False where the block is not positive
     definite (parameters effectively unidentified).
     """
     p = _sigmoid(_node_logits(alpha, beta, nodes))  # (K, I)
     theta_p = nodes[:, None] * p
-    curv = (1.0 - 2.0 * p) * (post.T @ ones - (post.T @ obs) * p)
+    r, n = _node_counts(ones, obs, post)
+    curv = (1.0 - 2.0 * p) * (r.T - n.T * p)
     t0 = curv.sum(axis=0)
     t1 = nodes @ curv
     t2 = (nodes * nodes) @ curv
@@ -446,10 +459,10 @@ def _item_observed_information(
     s_ab = np.zeros(p.shape[1])
     s_bb = np.zeros(p.shape[1])
     g_alpha = np.zeros(p.shape[1])
-    for lo in range(0, post.shape[0], SE_BLOCK_ROWS):
-        g = post[lo : lo + SE_BLOCK_ROWS]
-        x = ones[lo : lo + SE_BLOCK_ROWS]
-        o = obs[lo : lo + SE_BLOCK_ROWS]
+    for lo in range(0, post.shape[0], STUDENT_BLOCK):
+        g = post[lo : lo + STUDENT_BLOCK]
+        x = ones[lo : lo + STUDENT_BLOCK]
+        o = obs[lo : lo + STUDENT_BLOCK]
         d_alpha = x - o * (g @ p)
         d_beta = x * (g @ nodes)[:, None] - o * (g @ theta_p)
         s_aa += np.einsum("si,si->i", d_alpha, d_alpha)
@@ -478,6 +491,7 @@ def fit_2pl(matrix: ResponseMatrix, config: FitConfig | None = None) -> FitResul
     calibration and returned with clamped placeholder parameters and the
     ``degenerate`` flag set. Non-convergence within ``max_iter`` is not an
     error: the best parameters so far come back with ``converged=False``.
+    Abilities come from the last posterior, without the items clamped in packaging.
     """
     cfg = config or FitConfig()
     degen_ids = set(matrix.degenerate_items())
@@ -503,15 +517,13 @@ def fit_2pl(matrix: ResponseMatrix, config: FitConfig | None = None) -> FitResul
     beta = np.ones(work.n_items)
     alpha = -beta * b0
 
-    lam = _response_loglik_by_node(ones, obs, alpha, beta, nodes)
-    log_marg, post = _posteriors(lam, quad.weights)
+    log_marg, post = _estep(ones, obs, alpha, beta, quad)
     ll = float(log_marg.sum())
     trace = [ll]
     converged = False
     for _ in range(cfg.max_iter):
-        alpha, beta = _maximize_items(nodes, ones.T @ post, obs.T @ post, alpha, beta, cfg.newton_max_steps)
-        lam = _response_loglik_by_node(ones, obs, alpha, beta, nodes)
-        log_marg, post = _posteriors(lam, quad.weights)
+        alpha, beta = _maximize_items(nodes, *_node_counts(ones, obs, post), alpha, beta, cfg.newton_max_steps)
+        log_marg, post = _estep(ones, obs, alpha, beta, quad)
         new_ll = float(log_marg.sum())
         trace.append(new_ll)
         rel_change = abs(new_ll - ll) / max(1.0, abs(ll))
@@ -522,7 +534,6 @@ def fit_2pl(matrix: ResponseMatrix, config: FitConfig | None = None) -> FitResul
 
     # the loop leaves post computed at the final (alpha, beta)
     info, has_info = _item_observed_information(ones, obs, post, alpha, beta, nodes)
-    del ones, obs, lam, post  # estimate_abilities below builds its own
     vanishing = np.abs(beta) < 1e-12
     b = np.where(
         vanishing,
@@ -553,12 +564,14 @@ def fit_2pl(matrix: ResponseMatrix, config: FitConfig | None = None) -> FitResul
     )
 
     items = [fitted[item_id] for item_id in matrix.item_ids]
-    calibrated = [fitted[i] for i in work.item_ids if not fitted[i].degenerate]
     # items that clamped during packaging carry no usable calibration either;
     # their columns must not feed the ability posterior
-    clamped = [i for i in work.item_ids if fitted[i].degenerate]
-    ability_matrix = work.drop_items(clamped) if clamped else work
-    abilities = estimate_abilities(ability_matrix, calibrated, quad)
+    if flagged.any():
+        kept = ~flagged
+        ones = ones[:, kept]  # one mask at a time: at most three S x I arrays live
+        obs = obs[:, kept]
+        _, post = _estep(ones, obs, alpha[kept], beta[kept], quad)
+    abilities = _abilities(work.student_ids, post, nodes, obs.any(axis=1))
     diagnostics = FitDiagnostics(
         group_id=matrix.group_id,
         n_iterations=len(trace) - 1,
@@ -601,20 +614,6 @@ def estimate_abilities(
     """
     quad = quadrature or Quadrature.normal()
     cols, alpha, beta = _align(matrix, params)
-    estimates: list[AbilityEstimate] = []
-    if cols.size == 0:
-        return [AbilityEstimate(sid, 0.0, 1.0) for sid in matrix.student_ids]
-    cells = matrix.cells[:, cols]
-    lam = _response_loglik_by_node(*_masks(cells), alpha, beta, quad.nodes)
-    _, post = _posteriors(lam, quad.weights)
-    theta = post @ quad.nodes
-    second = post @ (quad.nodes * quad.nodes)
-    var = np.clip(second - theta * theta, 1e-16, None)
-    se = np.sqrt(var)
-    any_obs = (cells != MISSING).any(axis=1)
-    for i, sid in enumerate(matrix.student_ids):
-        if any_obs[i]:
-            estimates.append(AbilityEstimate(sid, float(theta[i]), float(se[i])))
-        else:
-            estimates.append(AbilityEstimate(sid, 0.0, 1.0))
-    return estimates
+    ones, obs = _masks(matrix.cells[:, cols])
+    _, post = _estep(ones, obs, alpha, beta, quad)
+    return _abilities(matrix.student_ids, post, quad.nodes, obs.any(axis=1))

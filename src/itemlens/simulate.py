@@ -175,7 +175,7 @@ def _walk(
     events: list[InteractionEvent] = []
     item_order = sorted(range(len(items)), key=lambda j: items[j].item_id)
     for sidx, (sid, _) in enumerate(cohort):
-        for iidx in item_order:
+        for col, iidx in enumerate(item_order):
             item_id = items[iidx].item_id
             module = modules.get(item_id, "sim")
             observed = missing_rate == 0.0 or _open_uniform(_pair_rng(seed, _TAG_MISSING, sidx, iidx)) >= missing_rate
@@ -187,7 +187,7 @@ def _walk(
                     stamp += _ONE_MINUTE
                 correct = bool(_open_uniform(rng_c) < probs[sidx][iidx])
                 if attempt == 0 and observed:
-                    cells[sidx, iidx] = correct
+                    cells[sidx, col] = correct
                 events.append(InteractionEvent(sid, item_id, module, stamp, EventKind.ATTEMPT, correct))
                 stamp += _ONE_MINUTE
                 if correct or attempt + 1 >= behavior.max_attempts:
@@ -195,7 +195,7 @@ def _walk(
                 if behavior.retry_prob <= 0.0 or _open_uniform(rng_b) >= behavior.retry_prob:
                     break
             stamp += _ONE_MINUTE
-    matrix = ResponseMatrix(group_id, [sid for sid, _ in cohort], [it.item_id for it in items], cells)
+    matrix = ResponseMatrix(group_id, [sid for sid, _ in cohort], [items[j].item_id for j in item_order], cells)
     return SimulatedLog(events), matrix
 
 

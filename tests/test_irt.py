@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +33,7 @@ from itemlens.irt import (
     params_to_csv,
     sample_curves,
 )
+import itemlens
 from itemlens import irt
 from itemlens.response import MISSING, ResponseMatrix
 from itemlens.tables import from_json, read_csv, record, to_json
@@ -437,6 +442,79 @@ class TestFit2pl:
         assert len(result.items) == 2
 
 
+class TestFitAbilities:
+    """README: flagged items, degenerate or clamped, are excluded from ability estimation."""
+
+    @staticmethod
+    def _assert_abilities_skip_flagged_items(m):
+        config = FitConfig()
+        result = fit_2pl(m, config)
+        flagged = [p.item_id for p in result.items if p.degenerate]
+        calibrated = [p for p in result.items if not p.degenerate]
+        want = estimate_abilities(m.drop_items(flagged), calibrated, config.quadrature())
+        assert [e.student_id for e in result.abilities] == m.student_ids
+        for got, exp in zip(result.abilities, want, strict=True):
+            assert got.student_id == exp.student_id
+            assert got.theta == pytest.approx(exp.theta, rel=1e-12, abs=1e-12)
+            assert got.se_theta == pytest.approx(exp.se_theta, rel=1e-12, abs=1e-12)
+        return result
+
+    def test_no_flagged_item(self):
+        rng = np.random.default_rng(8)
+        m = _random_matrix(rng, 200, 4, [1.1, 0.9, 1.4, 0.7], [0.3, -0.5, 0.0, 0.8], missing_rate=0.2)
+        m.cells[7] = MISSING
+        result = self._assert_abilities_skip_flagged_items(m)
+        assert not any(p.degenerate for p in result.items)
+        assert result.abilities[7] == AbilityEstimate(m.student_ids[7], 0.0, 1.0)
+
+    def test_clamped_duplicate_and_degenerate_columns(self):
+        rng = np.random.default_rng(3)
+        base = _random_matrix(rng, 300, 4, [1.1, 0.9, 1.4, 0.7], [0.3, -0.5, 0.0, 0.8])
+        cells = np.column_stack([base.cells, base.cells[:, 0], np.ones(300, dtype=np.int8)])
+        cells[0, 1:4] = MISSING  # seen only on the duplicated pair and the all-correct column
+        cells[1, :5] = MISSING  # seen only on the all-correct column
+        m = ResponseMatrix("g", base.student_ids, ["i0", "i1", "i2", "i3", "twin", "right"], cells)
+        result = self._assert_abilities_skip_flagged_items(m)
+        items = {p.item_id: p for p in result.items}
+        assert [i for i, p in items.items() if p.degenerate] == ["i0", "twin", "right"]
+        assert items["i0"].a == items["twin"].a == FitConfig().a_bound
+        assert result.abilities[:2] == [AbilityEstimate("s0", 0.0, 1.0), AbilityEstimate("s1", 0.0, 1.0)]
+
+
+# fits the saved cells and writes the params and abilities bytes to stdout
+_FIT_CHILD = """
+import sys
+import numpy as np
+from itemlens.irt import ABILITIES, fit_2pl, params_to_csv
+from itemlens.response import ResponseMatrix
+from itemlens.tables import write_csv
+cells = np.load(sys.argv[1])
+m = ResponseMatrix("g", [f"s{i}" for i in range(cells.shape[0])], [f"i{j}" for j in range(cells.shape[1])], cells)
+result = fit_2pl(m)
+sys.stdout.write(params_to_csv(result.items) + write_csv(ABILITIES, result.abilities))
+"""
+
+
+def test_fit_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # one numpy/BLAS build and one CPU kind; other builds and kernels may round differently
+    rng = np.random.default_rng(0)
+    m = _random_matrix(rng, 2000, 40, rng.uniform(0.5, 2.0, 40), rng.uniform(-2.0, 2.0, 40), missing_rate=0.1)
+    np.save(tmp_path / "cells.npy", m.cells)
+    src = str(Path(itemlens.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        cmd = [sys.executable, "-c", _FIT_CHILD, str(tmp_path / "cells.npy")]
+        proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    one, two = (out.splitlines() for out in outputs)
+    assert len(one) == len(two) == 1 + 40 + 1 + 2000
+    differ = [(x, y) for x, y in zip(one, two) if x != y]
+    assert not differ, f"{len(differ)} lines differ, first {differ[0]}"
+
+
 class TestFitConfig:
     def test_documented_defaults(self):
         c = FitConfig()
@@ -556,8 +634,7 @@ class TestParamsCodecs:
 
 def _posterior_at(cells, alpha, beta, quad):
     ones, obs = irt._masks(cells)
-    lam = irt._response_loglik_by_node(ones, obs, alpha, beta, quad.nodes)
-    _, post = irt._posteriors(lam, quad.weights)
+    _, post = irt._estep(ones, obs, alpha, beta, quad)
     return ones, obs, post
 
 
@@ -582,13 +659,16 @@ def _awkward_items(seed, n_students, missing_rate):
 class TestObservedInformation:
     @pytest.mark.parametrize(
         "seed,n_students,missing_rate,block_rows",
-        [(1, 300, 0.1, irt.SE_BLOCK_ROWS), (2, 250, 0.2, 64), (3, 50, 0.15, 7)],
+        [(1, 300, 0.1, irt.STUDENT_BLOCK), (2, 250, 0.2, 64), (3, 50, 0.15, 7)],
     )
     def test_blocks_match_loop_oracle(self, monkeypatch, seed, n_students, missing_rate, block_rows):
-        monkeypatch.setattr(irt, "SE_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(irt, "STUDENT_BLOCK", block_rows)
         quad = FitConfig().quadrature()
         cells, alpha, beta = _awkward_items(seed, n_students, missing_rate)
         ones, obs, post = _posterior_at(cells, alpha, beta, quad)
+        r, n = irt._node_counts(ones, obs, post)
+        np.testing.assert_allclose(r, ones.T @ post, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(n, obs.T @ post, rtol=1e-12, atol=0.0)
         info, ok = irt._item_observed_information(ones, obs, post, alpha, beta, quad.nodes)
         expected = observed_information_loop(cells, post, alpha, beta, quad.nodes)
         assert ok.tolist() == [block is not None for block in expected]

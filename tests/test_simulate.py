@@ -395,3 +395,11 @@ class TestRunScenario:
         assert {(e.student_id, e.exercise_id) for e in out.log.events} == {
             (sid, p.item_id) for sid, _ in out.cohort for p in sc.items
         }
+
+    def test_matrix_columns_follow_item_ids_not_scenario_order(self):
+        items = [{"item_id": item_id, "a": 1.0 + k / 10, "b": k / 4 - 0.5} for k, item_id in enumerate("zbma")]
+        out = run_scenario(load_scenario({"n_students": 40, "seed": 2, "items": items}))
+        assert out.matrix.to_csv().splitlines()[0] == "student_id,a,b,m,z"
+        built = build_matrices(aggregate(out.log.events)).matrices[0]
+        assert built.item_ids == out.matrix.item_ids
+        assert np.array_equal(built.cells, out.matrix.cells)
